@@ -7,7 +7,8 @@ optional group-level random intercepts or intercept+slope pairs.
 Three inference engines share one model core: a nested Laplace
 approximation on a hyperparameter grid (fast, deterministic), an adaptive
 Metropolis-within-Gibbs sampler (the simulation cross-check), and maximum
-likelihood via per-group Laplace integration with profile intervals.
+likelihood with profile intervals, whose group integrals are Laplace
+approximations around modes found by one batched Newton over all groups.
 Model choice uses the log marginal likelihood, DIC and cross-validatory
 CPO; prior robustness is quantified with calibrated Hellinger scans.
 """

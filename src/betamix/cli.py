@@ -17,13 +17,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
+from ._io import atomic_write
 from .config import AnalysisConfig, load_csv, write_rows_csv
 from .distributions import DomainError
 from .laplace import fit_laplace
@@ -82,12 +82,9 @@ def _validate_summary(summary: dict) -> None:
 def _write_json(summary: dict, path: Path) -> str:
     summary = _clean(summary)
     _validate_summary(summary)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w") as fh:
+    with atomic_write(path) as fh:
         json.dump(summary, fh, indent=2, allow_nan=False)
         fh.write("\n")
-    os.replace(tmp, path)
     return str(path)
 
 
@@ -97,12 +94,10 @@ def _write_marginal_csvs(fit_like, names, out_dir: Path, kde=False) -> list[str]
     for name in names:
         dens = fit_like.kde(name) if kde else fit_like.marginal(name)
         path = out_dir / f"marginal_{name}.csv"
-        tmp = path.with_suffix(".csv.tmp")
-        with open(tmp, "w") as fh:
+        with atomic_write(path) as fh:
             fh.write("value,density\n")
             for x, p in zip(dens.x, dens.pdf):
                 fh.write(f"{x:.12g},{p:.12g}\n")
-        os.replace(tmp, path)
         out.append(path.name)
     return out
 

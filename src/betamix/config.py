@@ -30,12 +30,12 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
+from ._io import atomic_write
 from .distributions import DomainError, GammaShapeRate
 from .laplace import LaplaceOptions
 from .mcmc import McmcConfig
@@ -298,12 +298,8 @@ def write_rows_csv(rows: list[dict], path) -> str:
     """Write uniform dict records to a header CSV atomically."""
     if not rows:
         raise DomainError("nothing to write")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w", newline="") as fh:
+    with atomic_write(path) as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
-    os.replace(tmp, path)
     return str(path)

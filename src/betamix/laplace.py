@@ -39,6 +39,9 @@ from .model import (
     HyperPoint,
     ModelContext,
     ModelSpec,
+    fd_hessian,
+    moment_start,
+    natural_scale,
 )
 from .priors import PriorSpec, default_priors
 
@@ -229,45 +232,11 @@ class ThetaGrid:
     def mode_point(self) -> "HyperPoint":
         return HyperPoint.from_array(self.mode)
 
-    def points(self) -> list[tuple["HyperPoint", float, float]]:
-        """Grid as (HyperPoint, log posterior, weight) triples."""
-        return [
-            (HyperPoint.from_array(self.theta[t]), float(self.logpost[t]), float(self.weights[t]))
-            for t in range(self.size)
-        ]
-
     def natural_values(self, j: int) -> np.ndarray:
-        return _apply_transform(self.theta[:, j], self.transforms[j])
+        return natural_scale(self.theta[:, j], self.transforms[j])
 
     def hyper_mean(self, j: int) -> float:
         return float(np.sum(self.weights * self.natural_values(j)))
-
-
-def _apply_transform(vals: np.ndarray, transform: str) -> np.ndarray:
-    if transform == "exp":
-        return np.exp(vals)
-    if transform == "tanh":
-        return np.tanh(vals)
-    if transform == "identity":
-        return np.asarray(vals, dtype=float)
-    raise ValueError(f"unknown transform {transform!r}")
-
-
-def _fd_hessian(fn: Callable[[np.ndarray], float], x0: np.ndarray, h: np.ndarray) -> np.ndarray:
-    m = x0.size
-    hess = np.zeros((m, m))
-    f0 = fn(x0)
-    for i in range(m):
-        ei = np.zeros(m)
-        ei[i] = h[i]
-        hess[i, i] = (fn(x0 + ei) - 2.0 * f0 + fn(x0 - ei)) / (h[i] * h[i])
-        for j in range(i + 1, m):
-            ej = np.zeros(m)
-            ej[j] = h[j]
-            hess[i, j] = hess[j, i] = (
-                fn(x0 + ei + ej) - fn(x0 + ei - ej) - fn(x0 - ei + ej) + fn(x0 - ei - ej)
-            ) / (4.0 * h[i] * h[j])
-    return hess
 
 
 def _spd_floor(mat: np.ndarray) -> np.ndarray:
@@ -278,6 +247,16 @@ def _spd_floor(mat: np.ndarray) -> np.ndarray:
         return np.eye(mat.shape[0])
     vals = np.maximum(vals, 1e-8 * top)
     return (vecs * vals) @ vecs.T
+
+
+def _mode_curvature(fn: Callable[[np.ndarray], float], mode: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two-stage finite-difference curvature at a mode: a crude pass sets the
+    per-axis scales, a second pass with steps rescaled to them refines.
+    Returns the floored negative Hessian and the per-axis standard deviations."""
+    curv = _spd_floor(-fd_hessian(fn, mode, 0.05 * (1.0 + np.abs(mode))))
+    sigma = np.sqrt(np.diag(np.linalg.inv(curv)))
+    curv = _spd_floor(-fd_hessian(fn, mode, np.maximum(0.1 * sigma, 1e-6)))
+    return curv, np.sqrt(np.diag(np.linalg.inv(curv)))
 
 
 def _optimize_mode(fn, theta0: np.ndarray) -> np.ndarray:
@@ -321,13 +300,7 @@ def explore_theta(
     mode = _optimize_mode(logpost_fn, theta0)
     f_mode = logpost_fn(mode)
 
-    # two-stage finite-difference curvature: crude scale, then rescaled steps
-    hess = _fd_hessian(logpost_fn, mode, 0.05 * (1.0 + np.abs(mode)))
-    curv = _spd_floor(-hess)
-    sigma = np.sqrt(np.diag(np.linalg.inv(curv)))
-    hess = _fd_hessian(logpost_fn, mode, np.maximum(0.1 * sigma, 1e-6))
-    curv = _spd_floor(-hess)
-    sigma = np.sqrt(np.diag(np.linalg.inv(curv)))
+    curv, sigma = _mode_curvature(logpost_fn, mode)
 
     values: dict[tuple[int, ...], float] = {tuple([0] * m): f_mode}
 
@@ -439,7 +412,7 @@ def marginal_hyper(grid: ThetaGrid, j: int, grid_points: int = 401) -> MarginalD
         fine = np.linspace(grid.mode[j] - 6.0 * sd, grid.mode[j] + 6.0 * sd, grid_points)
         pdf = np.exp(-0.5 * ((fine - grid.mode[j]) / sd) ** 2)
 
-    x_nat = _apply_transform(fine, transform)
+    x_nat = natural_scale(fine, transform)
     if transform == "exp":
         pdf = pdf / x_nat
     elif transform == "tanh":
@@ -461,12 +434,6 @@ def marginal_latent(grid: ThetaGrid, k: int, n_blocks: int, q: int, name: str = 
     dens = np.exp(-0.5 * zmat * zmat) / (np.sqrt(2.0 * np.pi) * sds[:, None])
     pdf = grid.weights @ dens
     return MarginalDensity(xs, pdf, name=name)
-
-
-def _weighted_kde_marginal(values: np.ndarray, weights: np.ndarray, name: str,
-                           grid_points: int = 401) -> MarginalDensity:
-    """Smoothed marginal of a derived scalar over the grid (weighted KDE)."""
-    return kde_density(values, weights=weights, name=name, grid_points=grid_points)
 
 
 # ---------------------------------------------------------------------------
@@ -526,18 +493,6 @@ class FitResult:
         return self._ctx
 
 
-def moment_start(ctx: ModelContext) -> HyperPoint:
-    """Method-of-moments starting point for the hyper optimization."""
-    ybar = float(np.mean(ctx.y))
-    yvar = float(np.var(ctx.y))
-    phi0 = max(ybar * (1.0 - ybar) / max(yvar, 1e-12) - 1.0, 1.0)
-    if ctx.q == 0:
-        return HyperPoint.from_natural(phi0)
-    if ctx.q == 1:
-        return HyperPoint.from_natural(phi0, tau1_sq=10.0)
-    return HyperPoint.from_natural(phi0, tau1_sq=10.0, tau2_sq=10.0, rho_corr=0.0)
-
-
 class _ThetaObjective:
     """Warm-started Laplace objective with a mode cache keyed by coordinates."""
 
@@ -588,13 +543,8 @@ def hyper_mode(
     deviations.  Used to initialize the sampler.
     """
     objective = _ThetaObjective(ctx, tol)
-    mode_arr = _optimize_mode(objective, moment_start(ctx).as_array())
-    hess = _fd_hessian(objective, mode_arr, 0.05 * (1.0 + np.abs(mode_arr)))
-    curv = _spd_floor(-hess)
-    sigma = np.sqrt(np.diag(np.linalg.inv(curv)))
-    hess = _fd_hessian(objective, mode_arr, np.maximum(0.1 * sigma, 1e-6))
-    curv = _spd_floor(-hess)
-    sigma = np.sqrt(np.diag(np.linalg.inv(curv)))
+    mode_arr = _optimize_mode(objective, moment_start(ctx.y, ctx.q).as_array())
+    curv, sigma = _mode_curvature(objective, mode_arr)
     return mode_arr, objective.mode_at(mode_arr), curv, sigma
 
 
@@ -618,7 +568,7 @@ def fit_laplace(
     objective = _ThetaObjective(ctx, opts.newton_tol)
     grid = explore_theta(
         objective,
-        moment_start(ctx).as_array(),
+        moment_start(ctx.y, ctx.q).as_array(),
         names=ctx.hyper_names,
         transforms=ctx.hyper_transforms,
         step=opts.step,
@@ -648,7 +598,7 @@ def fit_laplace(
         tau2 = np.exp(grid.theta[:, 2])
         corr = np.tanh(grid.theta[:, 3])
         rho_vals = corr / np.sqrt(tau1 * tau2)
-        marginals["rho"] = _weighted_kde_marginal(rho_vals, grid.weights, "rho")
+        marginals["rho"] = kde_density(rho_vals, weights=grid.weights, name="rho")
     t_marg = time.perf_counter()
 
     param_names = list(ctx.beta_names) + list(ctx.hyper_names)

@@ -3,10 +3,13 @@
 The frequentist companion to the Bayesian engines: the random effects are
 integrated out of the likelihood rather than sampled or gridded.  For a
 model without random effects the marginal likelihood is a plain product of
-beta densities; with random effects each group contributes a low dimensional
+beta densities; with random effects each group contributes a q dimensional
 integral that is approximated by Laplace's method around the group's own
-conditional mode (a one or two dimensional Newton search, warm started
-between evaluations because the optimizer visits nearby parameter values).
+conditional mode (Rue, Martino & Chopin 2009).  The modes are found by one
+batched Newton over all groups, with the N q x q curvature blocks solved in
+closed form, warm started between evaluations because the optimizer visits
+nearby parameter values.  The link derivatives, row likelihood, hyper names,
+start point and finite-difference curvature come from the model core.
 
 ``ml_fit`` maximizes the marginal log likelihood over the unconstrained
 vector (fixed effects, log phi, log tau, and atanh rho when present) with a
@@ -31,8 +34,22 @@ import numpy as np
 from scipy.optimize import brentq, minimize
 from scipy.stats import chi2, norm
 
-from .distributions import DomainError, LOG_2PI, beta_logpdf_arrays, beta_score_mu, beta_curv_mu
-from .model import Dataset, HyperPoint, LINKS, ModelSpec, MU_EPS, build_design
+from .distributions import DomainError
+from .model import (
+    HYPER_NAMES,
+    HYPER_TRANSFORMS,
+    LINKS,
+    Dataset,
+    HyperPoint,
+    ModelSpec,
+    build_design,
+    eta_derivs,
+    fd_hessian,
+    group_sums,
+    loglik_rows,
+    moment_start,
+    natural_scale,
+)
 
 __all__ = [
     "MLFit",
@@ -51,149 +68,64 @@ class _MarginalLoglik:
     """Marginal log likelihood of (beta, hyper) with warm-started group modes.
 
     Callable on the unconstrained vector ``[beta, log_phi, raneff...]``.
-    Instances hold per-group design slices and the previous conditional
-    modes, so repeated evaluations at nearby points cost one or two Newton
-    steps per group.
+    Instances hold the design and the previous conditional modes, so
+    repeated evaluations at nearby points cost one or two Newton steps.
     """
 
     def __init__(self, data: Dataset, spec: ModelSpec):
         design = build_design(data, spec)
-        self.spec = spec
         self.link = LINKS[spec.link]
         self.X = design.X
+        self.Z = design.Z
         self.y = data.y
         self.p = design.X.shape[1]
         self.q = spec.q
-        self.n_groups = data.n_groups
-        self.beta_names = tuple(f"beta_{lab}" for lab in design.labels)
-        if self.q == 0:
-            self.hyper_names: tuple[str, ...] = ("phi",)
-            self.hyper_transforms: tuple[str, ...] = ("exp",)
-        elif self.q == 1:
-            self.hyper_names = ("phi", "tau1_sq")
-            self.hyper_transforms = ("exp", "exp")
-        else:
-            self.hyper_names = ("phi", "tau1_sq", "tau2_sq", "rho_corr")
-            self.hyper_transforms = ("exp", "exp", "exp", "tanh")
-        self.names = self.beta_names + self.hyper_names
-        self.transforms = ("identity",) * self.p + self.hyper_transforms
-        self.dim = self.p + len(self.hyper_names)
-        starts = data.group_starts
-        ends = np.append(starts[1:], data.n)
-        self._starts = np.asarray(starts)
         self._groups = data.groups
-        self._slices = [slice(int(a), int(b)) for a, b in zip(starts, ends)]
-        if self.q:
-            self.Z = design.Z
-            self._warm = np.zeros((self.n_groups, self.q))
+        self._starts = data.group_starts
+        self.names = tuple(f"beta_{lab}" for lab in design.labels) + HYPER_NAMES[self.q]
+        self.transforms = ("identity",) * self.p + HYPER_TRANSFORMS[self.q]
+        self.dim = len(self.names)
+        self._warm = np.zeros((data.n_groups, self.q))
         self.n_calls = 0
 
-    # -- pieces ----------------------------------------------------------------
+    def _group_integrals(self, eta0: np.ndarray, q_mat: np.ndarray, phi: float) -> float:
+        """Sum over groups of the Laplace-integrated group likelihoods.
 
-    def _eta_derivs(self, eta, y, phi):
-        mu = np.clip(self.link.inv(eta), MU_EPS, 1.0 - MU_EPS)
-        d1 = self.link.dmu_deta(eta, mu)
-        d2 = self.link.d2mu_deta2(eta, mu)
-        s_mu = beta_score_mu(y, mu, phi)
-        c_mu = beta_curv_mu(mu, phi)
-        return s_mu * d1, c_mu * d1 * d1 + s_mu * d2
-
-    def _loglik_rows(self, eta, y, phi):
-        mu = np.clip(self.link.inv(eta), MU_EPS, 1.0 - MU_EPS)
-        return beta_logpdf_arrays(y, mu, phi)
-
-    def _group_contribution(self, i, eta0, q_mat, half_logdet_q, phi):
-        """Laplace-integrated likelihood of one group's observations."""
-        sl = self._slices[i]
-        y_i = self.y[sl]
-        z_i = self.Z[sl]
-        eta0_i = eta0[sl]
-        b = self._warm[i].copy()
-
-        def value(bvec):
-            eta = eta0_i + z_i @ bvec
-            return float(np.sum(self._loglik_rows(eta, y_i, phi))) - 0.5 * float(
-                bvec @ q_mat @ bvec
-            )
-
-        f = value(b)
-        gnorm = np.inf
-        for _ in range(100):
-            eta = eta0_i + z_i @ b
-            s, w = self._eta_derivs(eta, y_i, phi)
-            grad = z_i.T @ s - q_mat @ b
-            neg_hess = q_mat - (z_i * w[:, None]).T @ z_i
-            gnorm = float(np.max(np.abs(grad)))
-            if gnorm < 1.0e-8 * (1.0 + abs(f)):
-                break
-            ridge = 0.0
-            while True:
-                try:
-                    chol = np.linalg.cholesky(neg_hess + ridge * np.eye(self.q))
-                    break
-                except np.linalg.LinAlgError:
-                    ridge = max(2.0 * ridge, 1.0e-8 * float(np.trace(neg_hess)), 1.0e-10)
-            step = np.linalg.solve(chol.T, np.linalg.solve(chol, grad))
-            # Improvement below the floating floor of the value means the
-            # mode is found as precisely as the arithmetic allows.
-            if 0.5 * float(grad @ step) < 1.0e-13 * (1.0 + abs(f)):
-                break
-            accepted = False
-            for _ in range(30):
-                cand = b + step
-                f_cand = value(cand)
-                if f_cand > f:
-                    b, f = cand, f_cand
-                    accepted = True
-                    break
-                step = 0.5 * step
-            if not accepted:
-                break
-        if gnorm > 1.0e-3:
-            # Rare stall far from stationarity: polish with a simplex search
-            # so one stubborn group cannot void the whole evaluation.
-            res = minimize(lambda bb: -value(bb), b, method="Nelder-Mead",
-                           options={"xatol": 1.0e-10, "fatol": 1.0e-12, "maxiter": 500})
-            if -res.fun >= f:
-                b = np.asarray(res.x, dtype=float)
-            eta = eta0_i + z_i @ b
-            s, w = self._eta_derivs(eta, y_i, phi)
-            grad = z_i.T @ s - q_mat @ b
-            neg_hess = q_mat - (z_i * w[:, None]).T @ z_i
-            if float(np.max(np.abs(grad))) > 1.0e-2:
-                raise DomainError("group mode search did not converge")
-        f = value(b)
-        self._warm[i] = b
-        sign, logdet = np.linalg.slogdet(neg_hess)
-        if sign <= 0.0:
-            raise DomainError("negative curvature at a group mode")
-        return f + half_logdet_q - 0.5 * logdet
-
-    def _all_groups_q1(self, eta0: np.ndarray, tau: float, phi: float) -> float:
-        """All q = 1 group integrals at once: the Newton searches share every
-        full-length vector pass instead of looping over groups in Python.
-        Falls back to the per-group path for any group that stalls."""
-        z = self.Z[:, 0]
-        gidx = self._groups
-        starts = self._starts
-        b = self._warm[:, 0].copy()
-        n_g = self.n_groups
+        One Newton search runs over all groups at once: each iteration
+        evaluates every row in one pass and solves the N q x q systems in
+        closed form; each group halves its own step until its value rises.
+        Raises ``DomainError`` when any group ends away from a proper mode.
+        """
+        Z, starts, groups = self.Z, self._starts, self._groups
+        b = self._warm.copy()
 
         def values(bvec):
-            eta = eta0 + z * bvec[gidx]
-            rows = self._loglik_rows(eta, self.y, phi)
-            return np.add.reduceat(rows, starts) - 0.5 * tau * bvec * bvec
+            eta = eta0 + (Z * bvec[groups]).sum(axis=1)
+            rows = loglik_rows(self.link, self.y, eta, phi)
+            return np.add.reduceat(rows, starts) - 0.5 * ((bvec @ q_mat) * bvec).sum(axis=1)
+
+        def grad_curv(bvec):
+            """Gradient (N, q) and negative Hessian blocks (N, q, q)."""
+            eta = eta0 + (Z * bvec[groups]).sum(axis=1)
+            s, w = eta_derivs(self.link, self.y, eta, phi)
+            zs, zwz = group_sums(Z, starts, s, w)
+            return zs - bvec @ q_mat, q_mat - zwz
 
         f = values(b)
         for _ in range(100):
-            eta = eta0 + z * b[gidx]
-            s, w = self._eta_derivs(eta, self.y, phi)
-            grad = np.add.reduceat(z * s, starts) - tau * b
-            curv = tau - np.add.reduceat(w * z * z, starts)
+            grad, curv = grad_curv(b)
+            det = _block_det(curv)
+            spd = (curv[:, 0, 0] > 0.0) & (det > 0.0)
+            gnorm = np.abs(grad).max(axis=1)
+            # Newton where the block is positive definite, scaled steepest
+            # ascent elsewhere
+            step = np.where(spd[:, None], _block_solve(curv, grad, np.where(spd, det, 1.0)),
+                            grad / (1.0 + gnorm[:, None]))
             scale = 1.0 + np.abs(f)
-            conv = np.abs(grad) < 1.0e-8 * scale
-            step = grad / np.maximum(curv, 1.0e-10)
-            conv |= 0.5 * grad * step < 1.0e-13 * scale
+            conv = gnorm < 1.0e-8 * scale
+            # improvement below the floating floor of the value means the
+            # mode is found as precisely as the arithmetic allows
+            conv |= 0.5 * (grad * step).sum(axis=1) < 1.0e-13 * scale
             if conv.all():
                 break
             active = ~conv
@@ -215,23 +147,13 @@ class _MarginalLoglik:
             if not progressed:
                 break
 
-        eta = eta0 + z * b[gidx]
-        s, w = self._eta_derivs(eta, self.y, phi)
-        grad = np.add.reduceat(z * s, starts) - tau * b
-        curv = tau - np.add.reduceat(w * z * z, starts)
-        ok = (np.abs(grad) <= 1.0e-3) & (curv > 0.0)
-        self._warm[:, 0] = b
-        total = float(
-            np.sum(f[ok]) + ok.sum() * 0.5 * np.log(tau) - 0.5 * np.sum(np.log(curv[ok]))
-        )
-        if not ok.all():
-            q_mat = np.array([[tau]])
-            half_logdet_q = 0.5 * float(np.log(tau))
-            for i in np.flatnonzero(~ok):
-                total += self._group_contribution(int(i), eta0, q_mat, half_logdet_q, phi)
-        return total
-
-    # -- evaluation --------------------------------------------------------------
+        grad, curv = grad_curv(b)
+        det = _block_det(curv)
+        if not np.all((np.abs(grad).max(axis=1) <= 1.0e-3) & (curv[:, 0, 0] > 0.0) & (det > 0.0)):
+            raise DomainError("a group mode search did not converge")
+        self._warm = b
+        half_logdet_q = 0.5 * float(np.log(_block_det(q_mat[None])[0]))
+        return float(np.sum(f) + b.shape[0] * half_logdet_q - 0.5 * np.sum(np.log(det)))
 
     def __call__(self, v: np.ndarray) -> float:
         self.n_calls += 1
@@ -241,38 +163,30 @@ class _MarginalLoglik:
         if not np.all(np.isfinite(v)) or float(np.max(np.abs(v))) > _COORD_CAP:
             finite = v[np.isfinite(v)]
             return _PENALTY * (1.0 + float(np.sum(np.abs(finite))))
-        beta = v[: self.p]
         hp = HyperPoint.from_array(v[self.p :])
-        phi = hp.phi
-        eta0 = self.X @ beta
+        eta0 = self.X @ v[: self.p]
         if self.q == 0:
-            return float(np.sum(self._loglik_rows(eta0, self.y, phi)))
-        q_mat = hp.precision_matrix()
-        half_logdet_q = 0.5 * float(np.linalg.slogdet(q_mat)[1])
-        warm_backup = self._warm.copy()
+            return float(np.sum(loglik_rows(self.link, self.y, eta0, hp.phi)))
         try:
-            if self.q == 1:
-                return self._all_groups_q1(eta0, float(q_mat[0, 0]), phi)
-            total = 0.0
-            for i in range(self.n_groups):
-                total += self._group_contribution(i, eta0, q_mat, half_logdet_q, phi)
-        except (DomainError, np.linalg.LinAlgError):
-            self._warm = warm_backup
+            return self._group_integrals(eta0, hp.precision_matrix(), hp.phi)
+        except DomainError:
             return _PENALTY * (1.0 + float(np.sum(np.abs(v))))
-        return total
 
-    def start_vector(self) -> np.ndarray:
-        ybar = float(np.mean(self.y))
-        yvar = float(np.var(self.y))
-        phi0 = max(ybar * (1.0 - ybar) / max(yvar, 1.0e-12) - 1.0, 1.0)
-        beta0 = np.zeros(self.p)
-        beta0[0] = float(self.link.fwd(np.clip(ybar, 0.01, 0.99)))
-        coords = [np.log(phi0)]
-        if self.q >= 1:
-            coords.append(np.log(10.0))
-        if self.q == 2:
-            coords.extend([np.log(10.0), 0.0])
-        return np.concatenate([beta0, coords])
+
+def _block_det(m: np.ndarray) -> np.ndarray:
+    """Determinants of a stack of 1 x 1 or 2 x 2 matrices (N, q, q)."""
+    if m.shape[1] == 1:
+        return m[:, 0, 0]
+    return m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
+
+
+def _block_solve(m: np.ndarray, rhs: np.ndarray, det: np.ndarray) -> np.ndarray:
+    """Solve the stacked 1 x 1 or 2 x 2 systems ``m x = rhs`` by Cramer's rule."""
+    if m.shape[1] == 1:
+        return rhs / det[:, None]
+    x0 = m[:, 1, 1] * rhs[:, 0] - m[:, 0, 1] * rhs[:, 1]
+    x1 = m[:, 0, 0] * rhs[:, 1] - m[:, 1, 0] * rhs[:, 0]
+    return np.stack([x0, x1], axis=1) / det[:, None]
 
 
 def marginal_loglik(beta, theta: HyperPoint, data: Dataset, spec: ModelSpec) -> float:
@@ -356,8 +270,8 @@ class MLFit:
         z = float(norm.ppf(0.5 * (1.0 + level)))
         lo = self.vector[j] - z * self.se_unconstrained[j]
         hi = self.vector[j] + z * self.se_unconstrained[j]
-        f = _NATURAL[self.transforms[j]]
-        return (f(lo), f(hi))
+        t = self.transforms[j]
+        return (float(natural_scale(lo, t)), float(natural_scale(hi, t)))
 
     def summary(self) -> dict[str, dict[str, float]]:
         out = {}
@@ -372,38 +286,11 @@ class MLFit:
         return out
 
 
-_NATURAL: dict[str, Callable[[float], float]] = {
-    "identity": lambda u: float(u),
-    "exp": lambda u: float(np.exp(u)),
-    "tanh": lambda u: float(np.tanh(u)),
-}
-
 _DERIV: dict[str, Callable[[float], float]] = {
     "identity": lambda u: 1.0,
     "exp": lambda u: float(np.exp(u)),
     "tanh": lambda u: float(1.0 - np.tanh(u) ** 2),
 }
-
-
-def _fd_hessian(fn: Callable[[np.ndarray], float], x0: np.ndarray, h: np.ndarray) -> np.ndarray:
-    d = x0.size
-    hess = np.empty((d, d))
-    f0 = fn(x0)
-    for a in range(d):
-        ea = np.zeros(d)
-        ea[a] = h[a]
-        fpp = fn(x0 + ea)
-        fmm = fn(x0 - ea)
-        hess[a, a] = (fpp - 2.0 * f0 + fmm) / (h[a] * h[a])
-        for c in range(a + 1, d):
-            ec = np.zeros(d)
-            ec[c] = h[c]
-            val = (
-                fn(x0 + ea + ec) - fn(x0 + ea - ec) - fn(x0 - ea + ec) + fn(x0 - ea - ec)
-            ) / (4.0 * h[a] * h[c])
-            hess[a, c] = val
-            hess[c, a] = val
-    return hess
 
 
 def ml_fit(data: Dataset, spec: ModelSpec, start: np.ndarray | None = None,
@@ -415,7 +302,12 @@ def ml_fit(data: Dataset, spec: ModelSpec, start: np.ndarray | None = None,
     finite-difference observed information at the optimum.
     """
     lik = _MarginalLoglik(data, spec)
-    v0 = lik.start_vector() if start is None else np.asarray(start, dtype=float)
+    if start is None:
+        beta0 = np.zeros(lik.p)
+        beta0[0] = float(lik.link.fwd(np.clip(float(np.mean(data.y)), 0.01, 0.99)))
+        v0 = np.concatenate([beta0, moment_start(data.y, spec.q).as_array()])
+    else:
+        v0 = np.asarray(start, dtype=float)
     if v0.shape != (lik.dim,):
         raise DomainError(f"start vector must have length {lik.dim}")
 
@@ -453,20 +345,20 @@ def ml_fit(data: Dataset, spec: ModelSpec, start: np.ndarray | None = None,
     # Two-stage observed information: a coarse pass sets per-coordinate
     # scales, a second pass refines.  Steps are capped so a flat direction
     # cannot push a probe into the penalty region and wreck the differences.
-    hess = _fd_hessian(lik, vhat, np.minimum(0.05 * (1.0 + np.abs(vhat)), 0.5))
+    hess = fd_hessian(lik, vhat, np.minimum(0.05 * (1.0 + np.abs(vhat)), 0.5))
     info = -hess
     eigvals, eigvecs = np.linalg.eigh(info)
     floor = max(1.0e-8 * float(np.max(eigvals)), 1.0e-12)
     eigvals = np.maximum(eigvals, floor)
     sigma = np.sqrt((eigvecs**2) @ (1.0 / eigvals))
-    hess = _fd_hessian(lik, vhat, np.clip(0.1 * sigma, 1.0e-4, 0.5))
+    hess = fd_hessian(lik, vhat, np.clip(0.1 * sigma, 1.0e-4, 0.5))
     info = -hess
     eigvals, eigvecs = np.linalg.eigh(info)
     eigvals = np.maximum(eigvals, max(1.0e-8 * float(np.max(eigvals)), 1.0e-12))
     vcov = (eigvecs / eigvals) @ eigvecs.T
     se_u = np.sqrt(np.diag(vcov))
 
-    params = np.array([_NATURAL[t](u) for t, u in zip(lik.transforms, vhat)])
+    params = np.array([natural_scale(u, t) for t, u in zip(lik.transforms, vhat)])
     se_nat = np.array(
         [abs(_DERIV[t](u)) * s for t, u, s in zip(lik.transforms, vhat, se_u)]
     )
@@ -596,9 +488,9 @@ def profile_interval(fit: MLFit, param: str | int, level: float = 0.95) -> Profi
         profiled, float(fit.vector[j]), fit.loglik, se_j, drop,
         t_max=_COORD_CAP - 5.0 - abs(float(fit.vector[j])),
     )
-    f = _NATURAL[fit.transforms[j]]
-    lower = f(lo_u) if np.isfinite(lo_u) else (f(-np.inf) if lo_u < 0 else np.inf)
-    upper = f(hi_u) if np.isfinite(hi_u) else (f(np.inf) if hi_u > 0 else -np.inf)
+    # an open side is -inf or +inf here, which the transform maps to its limit
+    t = fit.transforms[j]
+    lower, upper = natural_scale(lo_u, t), natural_scale(hi_u, t)
     return ProfileInterval(
         name=fit.names[j],
         level=level,

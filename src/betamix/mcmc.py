@@ -35,7 +35,6 @@ regardless of how many chains are drawn.
 from __future__ import annotations
 
 import csv
-import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -43,6 +42,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import gammaln
 
+from ._io import atomic_write
 from .density import MarginalDensity, kde_density
 from .distributions import DomainError
 from .model import MU_EPS, Dataset, HyperPoint, ModelContext, ModelSpec
@@ -57,7 +57,6 @@ __all__ = [
     "gelman_rubin",
     "effective_sample_size",
     "interval_containment",
-    "probability_in_interval",
     "export_chains",
 ]
 
@@ -191,7 +190,7 @@ class _BetaModelTarget:
     """
 
     def __init__(self, ctx: ModelContext, theta0: np.ndarray, x0: np.ndarray,
-                 likelihood_scale: float):
+                 likelihood_scale: float, recenter_pairs: list[tuple[int, int]]):
         self.ctx = ctx
         self.lam = float(likelihood_scale)
         if self.lam == 0.0 and np.any(ctx.beta_prior_prec <= 0.0):
@@ -212,17 +211,7 @@ class _BetaModelTarget:
         self._rebuild_theta_caches()
         self._rebuild_lik_caches()
         self.beta_lp = ctx.beta_log_prior(self.x_beta)
-        # Fixed-effect columns that also appear as random-effect columns can
-        # trade mass with the group effects without moving the linear
-        # predictor; record those pairs so the sampler can add one
-        # recentering site per pair.
-        self.recenter_fixed: dict[int, int] = {}
-        if ctx.q:
-            for a in range(ctx.q):
-                for k in range(ctx.X.shape[1]):
-                    if np.array_equal(ctx.X[:, k], ctx.Z[:, a]):
-                        self.recenter_fixed[a] = k
-                        break
+        self.recenter_fixed = dict(recenter_pairs)  # random column -> fixed column
 
     # -- cache plumbing ------------------------------------------------------
 
@@ -263,9 +252,6 @@ class _BetaModelTarget:
         return gammaln(phi) - gammaln(a) - gammaln(b) + a * ylog + b * y1mlog - both
 
     # -- site interface -------------------------------------------------------
-
-    def site_list(self) -> list[Site]:
-        raise NotImplementedError("sites are assembled by run_mcmc")
 
     def log_ratio(self, key: tuple, delta: np.ndarray) -> float:
         kind = key[0]
@@ -475,12 +461,6 @@ def effective_sample_size(chains: np.ndarray) -> float:
     return float(sum(_ess_single(c) for c in chains))
 
 
-def probability_in_interval(density: MarginalDensity, interval: tuple[float, float]) -> float:
-    """Mass a marginal density assigns to an interval."""
-    lo, hi = interval
-    return density.prob_interval(lo, hi)
-
-
 def interval_containment(draws: np.ndarray, interval: tuple[float, float]) -> float:
     """Fraction of draws inside a closed interval."""
     lo, hi = interval
@@ -559,17 +539,13 @@ class ChainOutput:
 
 def export_chains(output: ChainOutput, out_dir, prefix: str = "chain") -> list[str]:
     """Write one CSV of stored draws per chain; returns the paths."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
     for c in range(output.samples.shape[0]):
-        path = out_dir / f"{prefix}_{c + 1}.csv"
-        tmp = path.with_suffix(".csv.tmp")
-        with open(tmp, "w", newline="") as fh:
+        path = Path(out_dir) / f"{prefix}_{c + 1}.csv"
+        with atomic_write(path) as fh:
             writer = csv.writer(fh)
             writer.writerow(output.names)
             writer.writerows(output.samples[c].tolist())
-        os.replace(tmp, path)
         paths.append(str(path))
     return paths
 
@@ -638,6 +614,9 @@ def run_mcmc(
     seq = np.random.SeedSequence(config.seed)
     children = seq.spawn(config.n_chains)
 
+    # Fixed-effect columns that also appear as random-effect columns can
+    # trade mass with the group effects without moving the linear predictor;
+    # each such (random column, fixed column) pair gets a recentering site.
     recenter_pairs: list[tuple[int, int]] = []
     if ctx.q:
         q0_mat = HyperPoint.from_array(theta0).precision_matrix()
@@ -667,7 +646,8 @@ def run_mcmc(
                 )
         jit_x[nb:] += config.jitter * beta_sd * rng.standard_normal(ctx.p)
 
-        target = _BetaModelTarget(ctx, jit_theta, jit_x, config.likelihood_scale)
+        target = _BetaModelTarget(ctx, jit_theta, jit_x, config.likelihood_scale,
+                                  recenter_pairs)
         sites = [
             Site(("beta", k), 1, 2.4 * float(beta_sd[k])) for k in range(ctx.p)
         ]

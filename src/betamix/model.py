@@ -60,7 +60,6 @@ __all__ = [
     "Dataset",
     "ModelSpec",
     "DesignInfo",
-    "LatentField",
     "HyperPoint",
     "BlockSymmetric",
     "BlockCholesky",
@@ -356,25 +355,8 @@ def build_design(data: Dataset, spec: ModelSpec) -> DesignInfo:
 
 
 # ---------------------------------------------------------------------------
-# latent field and hyperparameters
+# hyperparameters
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LatentField:
-    """Group effects ``b`` (N x q) stacked ahead of fixed effects ``beta``."""
-
-    b: np.ndarray
-    beta: np.ndarray
-
-    def pack(self) -> np.ndarray:
-        return np.concatenate([np.asarray(self.b, dtype=float).ravel(), np.asarray(self.beta, dtype=float)])
-
-    @classmethod
-    def unpack(cls, vec: np.ndarray, n_groups: int, q: int) -> "LatentField":
-        vec = np.asarray(vec, dtype=float)
-        nb = n_groups * q
-        return cls(vec[:nb].reshape(n_groups, q), vec[nb:])
 
 
 def _log1m_tanh_sq(z: float) -> float:
@@ -490,6 +472,93 @@ class HyperPoint:
         return float(jac)
 
 
+#: report names and unconstrained-to-natural transforms of the hyper
+#: coordinates, by the number of random terms q
+HYPER_NAMES = {0: ("phi",), 1: ("phi", "tau1_sq"), 2: ("phi", "tau1_sq", "tau2_sq", "rho_corr")}
+HYPER_TRANSFORMS = {0: ("exp",), 1: ("exp", "exp"), 2: ("exp", "exp", "exp", "tanh")}
+
+
+def natural_scale(vals, transform: str) -> np.ndarray:
+    """Map unconstrained coordinates to the natural scale by name of transform."""
+    if transform == "exp":
+        return np.exp(vals)
+    if transform == "tanh":
+        return np.tanh(vals)
+    if transform == "identity":
+        return np.asarray(vals, dtype=float)
+    raise ValueError(f"unknown transform {transform!r}")
+
+
+def moment_start(y: np.ndarray, q: int) -> HyperPoint:
+    """Method-of-moments hyper starting point: phi from the response's mean
+    and variance, every random-effect precision 10, no correlation."""
+    ybar = float(np.mean(y))
+    yvar = float(np.var(y))
+    phi0 = max(ybar * (1.0 - ybar) / max(yvar, 1e-12) - 1.0, 1.0)
+    if q == 0:
+        return HyperPoint.from_natural(phi0)
+    if q == 1:
+        return HyperPoint.from_natural(phi0, tau1_sq=10.0)
+    return HyperPoint.from_natural(phi0, tau1_sq=10.0, tau2_sq=10.0, rho_corr=0.0)
+
+
+# ---------------------------------------------------------------------------
+# likelihood pieces and curvature shared by the engines
+# ---------------------------------------------------------------------------
+
+
+def loglik_rows(link: Link, y: np.ndarray, eta: np.ndarray, phi: float) -> np.ndarray:
+    """Per-row beta log likelihood at the linear predictor ``eta``."""
+    return beta_logpdf_arrays(y, np.clip(link.inv(eta), MU_EPS, 1.0 - MU_EPS), phi)
+
+
+def eta_derivs(link: Link, y: np.ndarray, eta: np.ndarray, phi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row first/second derivatives of the beta log likelihood in eta."""
+    mu = np.clip(link.inv(eta), MU_EPS, 1.0 - MU_EPS)
+    d1 = link.dmu_deta(eta, mu)
+    d2 = link.d2mu_deta2(eta, mu)
+    s_mu = beta_score_mu(y, mu, phi)
+    c_mu = beta_curv_mu(mu, phi)
+    return s_mu * d1, c_mu * d1 * d1 + s_mu * d2
+
+
+def group_sums(Z: np.ndarray, starts: np.ndarray, s: np.ndarray,
+               w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-group ``Z_i' s_i`` (N, q) and ``Z_i' W_i Z_i`` (N, q, q) from the
+    per-row derivatives ``s`` and ``w``; one reduction per distinct block
+    entry."""
+    q = Z.shape[1]
+    zs = np.add.reduceat(Z * s[:, None], starts, axis=0)
+    zwz = np.empty((starts.size, q, q))
+    for a in range(q):
+        for c in range(a, q):
+            vals = np.add.reduceat(w * Z[:, a] * Z[:, c], starts)
+            zwz[:, a, c] = vals
+            zwz[:, c, a] = vals
+    return zs, zwz
+
+
+def fd_hessian(fn: Callable[[np.ndarray], float], x0: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Central-difference Hessian of ``fn`` at ``x0`` with per-axis steps ``h``.
+
+    The probe order is fixed; callers whose ``fn`` is warm started depend on it.
+    """
+    m = x0.size
+    hess = np.zeros((m, m))
+    f0 = fn(x0)
+    for i in range(m):
+        ei = np.zeros(m)
+        ei[i] = h[i]
+        hess[i, i] = (fn(x0 + ei) - 2.0 * f0 + fn(x0 - ei)) / (h[i] * h[i])
+        for j in range(i + 1, m):
+            ej = np.zeros(m)
+            ej[j] = h[j]
+            hess[i, j] = hess[j, i] = (
+                fn(x0 + ei + ej) - fn(x0 + ei - ej) - fn(x0 - ei + ej) + fn(x0 - ei - ej)
+            ) / (4.0 * h[i] * h[j])
+    return hess
+
+
 # ---------------------------------------------------------------------------
 # block-structured symmetric matrices
 # ---------------------------------------------------------------------------
@@ -587,27 +656,6 @@ class BlockCholesky:
             v_bb = np.zeros((n, q, q))
         return v_bb, c_bx, v_xx
 
-    def dense_inverse(self) -> np.ndarray:
-        v_bb, c_bx, v_xx = self.inverse_pieces()
-        mat = self.mat
-        n, q, p = mat.n_blocks, mat.q, mat.p
-        out = np.zeros((mat.dim, mat.dim))
-        for i in range(n):
-            s = slice(i * q, (i + 1) * q)
-            out[s, s] = v_bb[i]
-            out[s, n * q :] = c_bx[i]
-            out[n * q :, s] = c_bx[i].T
-        # off-diagonal b_i, b_j coupling: G_i V_xx G_j'
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                si = slice(i * q, (i + 1) * q)
-                sj = slice(j * q, (j + 1) * q)
-                out[si, sj] = self.gain[i] @ v_xx @ self.gain[j].T
-        out[n * q :, n * q :] = v_xx
-        return out
-
 
 def _chol_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     from scipy.linalg import solve_triangular
@@ -670,19 +718,11 @@ class ModelContext:
 
     @property
     def hyper_names(self) -> tuple[str, ...]:
-        if self.q == 0:
-            return ("phi",)
-        if self.q == 1:
-            return ("phi", "tau1_sq")
-        return ("phi", "tau1_sq", "tau2_sq", "rho_corr")
+        return HYPER_NAMES[self.q]
 
     @property
     def hyper_transforms(self) -> tuple[str, ...]:
-        if self.q == 0:
-            return ("exp",)
-        if self.q == 1:
-            return ("exp", "exp")
-        return ("exp", "exp", "exp", "tanh")
+        return HYPER_TRANSFORMS[self.q]
 
     @property
     def latent_names(self) -> tuple[str, ...]:
@@ -706,14 +746,8 @@ class ModelContext:
             eta = eta + np.sum(self.Z * b[self.groups], axis=1)
         return eta
 
-    def mu_of_eta(self, eta: np.ndarray) -> np.ndarray:
-        return np.clip(self.link.inv(eta), MU_EPS, 1.0 - MU_EPS)
-
-    def loglik_terms(self, eta: np.ndarray, phi: float) -> np.ndarray:
-        return beta_logpdf_arrays(self.y, self.mu_of_eta(eta), phi)
-
     def loglik(self, eta: np.ndarray, phi: float) -> float:
-        return float(np.sum(self.loglik_terms(eta, phi)))
+        return float(np.sum(loglik_rows(self.link, self.y, eta, phi)))
 
     def beta_log_prior(self, beta: np.ndarray) -> float:
         return self._beta_prior_const - 0.5 * float(
@@ -787,20 +821,11 @@ class ModelContext:
 
     # -- derivatives wrt the latent field -----------------------------------
 
-    def _eta_derivs(self, eta: np.ndarray, phi: float) -> tuple[np.ndarray, np.ndarray]:
-        """Per-row first/second derivatives of the beta log likelihood in eta."""
-        mu = self.mu_of_eta(eta)
-        d1 = self.link.dmu_deta(eta, mu)
-        d2 = self.link.d2mu_deta2(eta, mu)
-        s_mu = beta_score_mu(self.y, mu, phi)
-        c_mu = beta_curv_mu(mu, phi)
-        return s_mu * d1, c_mu * d1 * d1 + s_mu * d2
-
     def grad_hessian(self, x: np.ndarray, theta: HyperPoint) -> tuple[np.ndarray, BlockSymmetric]:
         x = np.asarray(x, dtype=float)
         b, beta = self.split(x)
         eta = self.eta(x)
-        s, w = self._eta_derivs(eta, theta.phi)
+        s, w = eta_derivs(self.link, self.y, eta, theta.phi)
 
         grad_beta = self.X.T @ s - self.beta_prior_prec * beta
         h_xx = (self.X * w[:, None]).T @ self.X - np.diag(self.beta_prior_prec)
@@ -811,20 +836,12 @@ class ModelContext:
 
         q_mat = theta.precision_matrix()
         starts = self.group_starts
-        zs = self.Z * s[:, None]  # (n, q)
-        grad_b = np.add.reduceat(zs, starts, axis=0) - b @ q_mat
-
-        qd = self.q
-        h_bb = np.empty((self.n_groups, qd, qd))
-        for a in range(qd):
-            for c in range(a, qd):
-                vals = np.add.reduceat(w * self.Z[:, a] * self.Z[:, c], starts)
-                h_bb[:, a, c] = vals
-                h_bb[:, c, a] = vals
+        zs, h_bb = group_sums(self.Z, starts, s, w)
+        grad_b = zs - b @ q_mat
         h_bb -= q_mat[None, :, :]
 
-        h_bx = np.empty((self.n_groups, qd, self.p))
-        for a in range(qd):
+        h_bx = np.empty((self.n_groups, self.q, self.p))
+        for a in range(self.q):
             h_bx[:, a, :] = np.add.reduceat(
                 (w * self.Z[:, a])[:, None] * self.X, starts, axis=0
             )
@@ -838,19 +855,13 @@ class ModelContext:
 # ---------------------------------------------------------------------------
 
 
-def _as_packed(x, ctx: ModelContext) -> np.ndarray:
-    if isinstance(x, LatentField):
-        return x.pack()
-    return np.asarray(x, dtype=float)
-
-
 def joint_log_posterior(x, theta: HyperPoint, data: Dataset, spec: ModelSpec, priors: PriorSpec) -> float:
     """Unnormalized log posterior of (latent field, hyperparameters)."""
     ctx = ModelContext(data, spec, priors)
-    return ctx.joint_log_posterior(_as_packed(x, ctx), theta)
+    return ctx.joint_log_posterior(np.asarray(x, dtype=float), theta)
 
 
 def joint_grad_hessian(x, theta: HyperPoint, data: Dataset, spec: ModelSpec, priors: PriorSpec):
     """Gradient and block-structured Hessian of the joint in the latent field."""
     ctx = ModelContext(data, spec, priors)
-    return ctx.grad_hessian(_as_packed(x, ctx), theta)
+    return ctx.grad_hessian(np.asarray(x, dtype=float), theta)

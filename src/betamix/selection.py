@@ -28,13 +28,12 @@ indicate better predictive fit.
 from __future__ import annotations
 
 import csv
-import os
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.special import logsumexp
 
+from ._io import atomic_write
 from .distributions import DomainError, beta_logpdf_arrays
 from .laplace import FitResult, grid_log_evidence
 from .model import MU_EPS
@@ -211,12 +210,8 @@ class ModelComparison:
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path) -> str:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        with open(tmp, "w", newline="") as fh:
+        with atomic_write(path) as fh:
             csv.writer(fh).writerows(self.rows())
-        os.replace(tmp, path)
         return str(path)
 
 

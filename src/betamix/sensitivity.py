@@ -23,9 +23,7 @@ default; it is an explicit argument so callers can scan from any base.
 from __future__ import annotations
 
 import csv
-import os
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,6 +31,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import gammaln
 
+from ._io import atomic_write
 from .density import MarginalDensity
 from .distributions import DomainError, GammaShapeRate
 from .laplace import FitResult, LaplaceOptions, fit_laplace
@@ -215,12 +214,8 @@ class SensitivityReport:
         return out
 
     def _write(self, path, rows: list[list[str]]) -> str:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        with open(tmp, "w", newline="") as fh:
+        with atomic_write(path) as fh:
             csv.writer(fh).writerows(rows)
-        os.replace(tmp, path)
         return str(path)
 
     def write_csv(self, path) -> str:

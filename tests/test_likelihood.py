@@ -54,29 +54,57 @@ def test_ml_without_random_effects_matches_direct_optimizer():
 
 def test_marginal_loglik_matches_quadrature():
     """Tight random effects: the adaptive Gaussian approximation of each
-    group integral must track brute quadrature to high accuracy."""
-    study = simulate_study(seed=10, n_groups=3, n_total=120, phi=600.0, tau1_sq=200.0)
-    data, spec = study.data, study.spec
-    info = build_design(data, spec)
+    group integral must track brute quadrature to high accuracy, for a
+    random intercept (1-D integrals) and an intercept+slope pair (2-D)."""
     beta = np.array([0.4, -0.07, -0.13, 0.47])
-    theta = HyperPoint.from_natural(600.0, 200.0)
-    got = marginal_loglik(beta, theta, data, spec)
+    # (random, theta, tolerance); Laplace's own error on one 2-D group
+    # integral here is about 1.7e-4, so the q = 2 tolerance is looser
+    cases = (
+        ("intercept", HyperPoint.from_natural(600.0, 200.0), 1e-4),
+        ("intercept+slope", HyperPoint.from_natural(600.0, 200.0, 200.0, 0.5), 1e-3),
+    )
+    for random, theta, tol in cases:
+        study = simulate_study(seed=10, n_groups=3, n_total=120, random=random, phi=600.0,
+                               tau1_sq=200.0, tau2_sq=200.0, rho_corr=0.5)
+        data, spec = study.data, study.spec
+        info = build_design(data, spec)
+        got = marginal_loglik(beta, theta, data, spec)
 
-    eta0 = info.X @ beta
-    tau = 200.0
-    total = 0.0
-    for g in range(data.n_groups):
-        sl = slice(data.group_starts[g], data.group_starts[g] + data.group_sizes[g])
+        eta0 = info.X @ beta
+        q_mat = theta.precision_matrix()
+        half = 12.0 * np.sqrt(np.diag(np.linalg.inv(q_mat)))
+        log_norm = 0.5 * np.linalg.slogdet(q_mat)[1] - 0.5 * spec.q * np.log(2 * np.pi)
+        total = 0.0
+        for g in range(data.n_groups):
+            sl = slice(data.group_starts[g], data.group_starts[g] + data.group_sizes[g])
 
-        def lik(b, sl=sl):
-            mu = 1.0 / (1.0 + np.exp(-(eta0[sl] + b)))
-            ll = np.sum(beta_logpdf_arrays(data.y[sl], mu, 600.0))
-            return np.exp(ll + 0.5 * np.log(tau / (2 * np.pi)) - 0.5 * tau * b * b)
+            def log_lik(b, sl=sl):
+                """Log integrand at effect vectors ``b`` of shape (..., q)."""
+                mu = 1.0 / (1.0 + np.exp(-(eta0[sl] + b @ info.Z[sl].T)))
+                ll = np.sum(beta_logpdf_arrays(data.y[sl], mu, 600.0), axis=-1)
+                return ll + log_norm - 0.5 * np.sum((b @ q_mat) * b, axis=-1)
 
-        val, err = integrate.quad(lik, -12.0 / np.sqrt(tau), 12.0 / np.sqrt(tau), limit=200)
-        assert err < 1e-7 * val
-        total += np.log(val)
-    assert got == pytest.approx(total, abs=1e-4)
+            # integrate exp(log_lik - peak) so large group likelihoods cannot
+            # overflow; the shift is added back afterwards
+            peak = log_lik(np.zeros(spec.q))
+            if spec.q == 1:
+                val, err = integrate.quad(lambda b: np.exp(log_lik(np.array([b])) - peak),
+                                          -half[0], half[0], limit=200)
+                assert err < 1e-7 * val
+            else:
+                # tensor trapezoid rule over the same box: the integrand is
+                # smooth and negligible at the edges, so the rule converges
+                # geometrically; a grid of half the density checks that
+                def trapezoid_2d(n):
+                    b1s, b2s = (np.linspace(-h, h, n) for h in half)
+                    inner = [np.trapezoid(np.exp(log_lik(np.column_stack([np.full(n, b1), b2s]))
+                                                 - peak), b2s) for b1 in b1s]
+                    return np.trapezoid(inner, b1s)
+
+                val = trapezoid_2d(401)
+                assert abs(val - trapezoid_2d(201)) < 1e-7 * val
+            total += np.log(val) + peak
+        assert got == pytest.approx(total, abs=tol), random
 
 
 def test_marginal_loglik_peaks_near_truth(small_study):
