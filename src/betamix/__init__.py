@@ -16,7 +16,6 @@ CPO; prior robustness is quantified with calibrated Hellinger scans.
 from .config import AnalysisConfig, load_csv
 from .density import MarginalDensity, kde_density
 from .distributions import (
-    BetaMeanPrecision,
     DomainError,
     GammaShapeRate,
     StudentTParams,
@@ -54,7 +53,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisConfig",
-    "BetaMeanPrecision",
     "ChainOutput",
     "CpoResult",
     "Dataset",

@@ -468,6 +468,8 @@ class FitResult:
     gof: dict[str, float] | None = None
     model_name: str = ""
     _ctx: ModelContext | None = field(default=None, repr=False)
+    # the grid sums behind DIC and CPO, filled by selection on first use
+    _gof_pass: object = field(default=None, repr=False, compare=False)
 
     def marginal(self, name: str) -> MarginalDensity:
         if name in self.marginals:

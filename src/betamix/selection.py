@@ -64,17 +64,43 @@ def _rowwise_loglik(fit: FitResult, cond, phi: float, nodes, ctx) -> np.ndarray:
     return beta_logpdf_arrays(ctx.y[:, None], mu, phi)
 
 
-def _grid_pass(fit: FitResult):
-    """Common iterator: (weight, phi, conditional) for grid points with mass."""
+@dataclass(frozen=True)
+class _GofPass:
+    """The grid sums of the Gauss-Hermite row matrices that DIC and CPO use."""
+
+    mean_dev: float  # posterior mean deviance
+    x_mean: np.ndarray  # posterior mean of the latent vector
+    log_inv_cpo: np.ndarray  # log E[1 / f(y_i)] per row, in model row order
+
+
+def _gof_pass(fit: FitResult) -> _GofPass:
+    """One pass over the grid points with mass, building each point's row
+    matrix once for both criteria; kept on the fit, whose grid is fixed."""
+    if fit._gof_pass is not None:
+        return fit._gof_pass
+    ctx = fit._require_ctx()
     grid = fit.theta_grid
     if grid is None or grid.conditionals is None:
         raise DomainError("fit carries no hyperparameter grid with conditionals")
+    nodes, gh_w = _gauss_hermite()
+    log_gh_w = np.log(gh_w)
     phis = grid.natural_values(0)
+
+    mean_dev = 0.0
+    x_mean = np.zeros(ctx.n_latent)
+    terms = []
     for t in range(grid.size):
         w = float(grid.weights[t])
         if w <= 0.0:
             continue
-        yield w, float(phis[t]), grid.conditionals[t]
+        cond = grid.conditionals[t]
+        ll = _rowwise_loglik(fit, cond, float(phis[t]), nodes, ctx)
+        mean_dev += w * (-2.0) * float(np.sum(ll @ gh_w))
+        x_mean += w * cond.mean
+        # log E_cond[1/f] per row, then weighted across the grid
+        terms.append(np.log(w) + logsumexp(log_gh_w[None, :] - ll, axis=1))
+    fit._gof_pass = _GofPass(mean_dev, x_mean, logsumexp(np.vstack(terms), axis=0))
+    return fit._gof_pass
 
 
 def dic(fit: FitResult) -> tuple[float, float]:
@@ -86,21 +112,12 @@ def dic(fit: FitResult) -> tuple[float, float]:
     indicates the posterior approximation failed badly; it is returned
     as computed so callers can flag it.
     """
+    gof = _gof_pass(fit)
     ctx = fit._require_ctx()
-    grid = fit.theta_grid
-    nodes, gh_w = _gauss_hermite()
-
-    mean_dev = 0.0
-    x_mean = np.zeros(ctx.n_latent)
-    for w, phi, cond in _grid_pass(fit):
-        ll = _rowwise_loglik(fit, cond, phi, nodes, ctx)
-        mean_dev += w * (-2.0) * float(np.sum(ll @ gh_w))
-        x_mean += w * cond.mean
-
-    phi_mean = grid.hyper_mean(0)
-    eta_mean = ctx.eta(x_mean)
+    phi_mean = fit.theta_grid.hyper_mean(0)
+    eta_mean = ctx.eta(gof.x_mean)
     d_hat = -2.0 * ctx.loglik(eta_mean, phi_mean)
-    p_d = mean_dev - d_hat
+    p_d = gof.mean_dev - d_hat
     return d_hat + 2.0 * p_d, p_d
 
 
@@ -137,20 +154,7 @@ def cpo(fit: FitResult, data=None) -> CpoResult:
     ctx = fit._require_ctx()
     if data is not None and data.fingerprint() != fit.data_fingerprint:
         raise DomainError("data does not match the dataset this fit was computed from")
-    data = ctx.data
-    nodes, gh_w = _gauss_hermite()
-    log_gh_w = np.log(gh_w)
-
-    terms = []
-    for w, phi, cond in _grid_pass(fit):
-        ll = _rowwise_loglik(fit, cond, phi, nodes, ctx)
-        # log E_cond[1/f] per row, then weighted across the grid
-        log_e_inv = logsumexp(log_gh_w[None, :] - ll, axis=1)
-        terms.append(np.log(w) + log_e_inv)
-    log_inv_cpo = logsumexp(np.vstack(terms), axis=0)
-    log_cpo = -log_inv_cpo
-
-    log_cpo_orig = data.to_original_order(log_cpo)
+    log_cpo_orig = ctx.data.to_original_order(-_gof_pass(fit).log_inv_cpo)
     values = np.exp(log_cpo_orig)
     zero_rows = tuple(int(i) for i in np.flatnonzero(values <= 0.0))
     return CpoResult(
