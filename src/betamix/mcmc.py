@@ -3,12 +3,31 @@
 This is the cross-check engine: it targets exactly the same unnormalized
 joint posterior as the nested Laplace approximation but shares none of its
 computational shortcuts, so agreement between the two is evidence that both
-are right.  One sweep updates every fixed effect as a scalar site, every
-group's effect vector as a block, and the unconstrained hyperparameters as
-one block.  Proposal scales adapt toward standard target rates (0.44 for
-scalars, 0.234 for blocks) in windows during burn-in only, with diminishing
-step sizes; after burn-in the kernels are fixed, so the post-burn-in chain
-is a plain Metropolis-within-Gibbs sampler.
+are right.
+
+One sweep visits, in this order:
+
+1. every fixed effect, as a scalar site;
+2. every group's effect vector, each as its own block site, all in one
+   vector pass;
+3. the unconstrained hyperparameters, as one block;
+4. the recentering sites (below).
+
+The group pass is exact, not an approximation.  Given the fixed effects and
+the hyperparameters, the group effects are conditionally independent and
+each one touches only its own rows: a move of group i changes its prior
+quadratic form, its rows' linear predictor and its likelihood sum, and no
+other group's acceptance ratio.  Proposing every group at once, computing
+all N log ratios with a handful of array operations, and accepting or
+rejecting each against its own uniform is therefore the same kernel as
+visiting the groups one after another.  The normals and uniforms come from
+the same slices of the sweep's draws that a one-group-at-a-time loop would
+use, so the seeded chain is that loop's chain.
+
+Proposal scales adapt toward standard target rates (0.44 for scalars, 0.234
+for blocks, each group on its own) in windows during burn-in only, with
+diminishing step sizes; after burn-in the kernels are fixed, so the
+post-burn-in chain is a plain Metropolis-within-Gibbs sampler.
 
 A fixed effect whose column also carries a random effect (the intercept,
 and the slope column when present) rides a near-flat ridge against the
@@ -29,12 +48,14 @@ the fixed effects).
 
 Reproducibility: one integer seed drives every chain through spawned
 ``numpy.random.SeedSequence`` children, so results are identical run to run
-regardless of how many chains are drawn.
+regardless of how many chains are drawn.  Progress goes to the ``betamix``
+logger, one ``INFO`` line per chain.
 """
 
 from __future__ import annotations
 
 import csv
+import logging
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -51,6 +72,7 @@ from .priors import PriorSpec, default_priors
 __all__ = [
     "McmcConfig",
     "Site",
+    "GroupSites",
     "sample_metropolis",
     "ChainOutput",
     "run_mcmc",
@@ -59,6 +81,8 @@ __all__ = [
     "interval_containment",
     "export_chains",
 ]
+
+logger = logging.getLogger("betamix")
 
 # hyper sites with positive support, density-estimated on the log scale
 _POSITIVE_SITES = frozenset({"phi", "tau1_sq", "tau2_sq"})
@@ -96,6 +120,11 @@ def _target_rate(dim: int) -> float:
     return 0.44 if dim == 1 else 0.234
 
 
+def _adapted(scale, rate, target_rate: float, gain: float):
+    """One adaptation step: scale * exp(gain * (rate - target)), clamped."""
+    return np.clip(scale * np.exp(gain * (rate - target_rate)), 1e-8, 1e8)
+
+
 @dataclass
 class Site:
     """One Metropolis site: key, dimension and its (adaptive) proposal."""
@@ -111,9 +140,34 @@ class Site:
             self.target_rate = _target_rate(self.dim)
 
 
+@dataclass
+class GroupSites:
+    """The N group-effect sites ``("b", i)``, swept in one vector pass.
+
+    Group i proposes ``scales[i] * chols[i] @ z_i``; each group keeps its
+    own acceptance count and adapts its own scale.
+    """
+
+    chols: np.ndarray  # (N, q, q) proposal shapes
+    scales: np.ndarray  # (N,)
+    target_rate: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.target_rate == 0.0:
+            self.target_rate = _target_rate(self.dim)
+
+    @property
+    def dim(self) -> int:
+        return self.chols.shape[1]
+
+    @property
+    def keys(self) -> list[tuple]:
+        return [("b", i) for i in range(self.scales.size)]
+
+
 def sample_metropolis(
     target,
-    sites: list[Site],
+    sites: list[Site | GroupSites],
     iterations: int,
     burn_in: int,
     thin: int,
@@ -122,21 +176,34 @@ def sample_metropolis(
 ) -> tuple[np.ndarray, dict[tuple, float]]:
     """Generic adaptive Metropolis-within-Gibbs sweep driver.
 
-    ``target`` must provide ``log_ratio(key, delta) -> float`` (stage a move
-    of site ``key`` by ``delta`` and return the log acceptance ratio),
-    ``commit(key)`` (apply the staged move) and ``param_vector() ->
-    ndarray`` (the recorded state).  Returns the stored draws (one row per
-    ``thin`` post-burn-in sweeps, ``(iterations - burn_in) // thin`` in
-    total) and the post-burn-in acceptance rate per site.
+    ``sites`` is the sweep in order.  For a `Site`, ``target`` must provide
+    ``log_ratio(key, delta) -> float`` (stage a move of site ``key`` by
+    ``delta`` and return the log acceptance ratio) and ``commit(key)``
+    (apply the staged move).  For a `GroupSites` block it must provide
+    ``stage_groups(delta) -> ndarray`` (stage every group's move, ``delta``
+    of shape (N, q), and return the N log ratios) and
+    ``commit_groups(accepted)`` (apply the staged moves where the boolean
+    mask is true).  ``param_vector() -> ndarray`` gives the recorded state.
+    Each sweep draws one normal per site coordinate and one uniform per
+    site, in site order.  Returns the stored draws (one row per ``thin``
+    post-burn-in sweeps, ``(iterations - burn_in) // thin`` in total) and
+    the post-burn-in acceptance rate per site key.
     """
     n_params = target.param_vector().size
     n_stored = (iterations - burn_in) // thin
     out = np.empty((n_stored, n_params))
-    n_sites = len(sites)
-    keys = [s.key for s in sites]
-    dims = np.array([s.dim for s in sites])
-    offsets = np.concatenate([[0], np.cumsum(dims)])
-    total_dim = int(offsets[-1])
+    keys: list[tuple] = []
+    layout = []  # (site, offset into the normals, offset into the uniforms)
+    total_dim = 0
+    for site in sites:
+        layout.append((site, total_dim, len(keys)))
+        if isinstance(site, GroupSites):
+            keys += site.keys
+            total_dim += site.scales.size * site.dim
+        else:
+            keys.append(site.key)
+            total_dim += site.dim
+    n_sites = len(keys)
     acc_run = np.zeros(n_sites, dtype=np.int64)
     acc_win = np.zeros(n_sites, dtype=np.int64)
     stored = 0
@@ -148,24 +215,35 @@ def sample_metropolis(
         z_all = rng.standard_normal(total_dim)
         u_all = rng.random(n_sites)
         in_burnin = it < burn_in
-        for s in range(n_sites):
-            site = sites[s]
-            z = z_all[offsets[s] : offsets[s + 1]]
-            delta = site.scale * (site.chol @ z if site.chol is not None else z)
-            logr = log_ratio(keys[s], delta)
-            if logr >= 0.0 or log(u_all[s]) < logr:
-                commit(keys[s])
-                if in_burnin:
-                    acc_win[s] += 1
-                else:
-                    acc_run[s] += 1
+        acc = acc_win if in_burnin else acc_run
+        for site, zo, uo in layout:
+            if isinstance(site, GroupSites):
+                n, q = site.scales.size, site.dim
+                z = z_all[zo : zo + n * q].reshape(n, q, 1)
+                # a stacked matmul runs the same q x q product per group as
+                # a lone ``chol @ z`` would, so the proposals match bit for bit
+                delta = site.scales[:, None] * np.matmul(site.chols, z)[:, :, 0]
+                logr = target.stage_groups(delta)
+                accepted = (logr >= 0.0) | (log(u_all[uo : uo + n]) < logr)
+                target.commit_groups(accepted)
+                acc[uo : uo + n] += accepted
+            else:
+                z = z_all[zo : zo + site.dim]
+                delta = site.scale * (site.chol @ z if site.chol is not None else z)
+                logr = log_ratio(site.key, delta)
+                if logr >= 0.0 or log(u_all[uo]) < logr:
+                    commit(site.key)
+                    acc[uo] += 1
         if in_burnin:
             if (it + 1) % adapt_window == 0:
                 gain = 1.0 / np.sqrt((it + 1) // adapt_window)
-                for s in range(n_sites):
-                    rate = acc_win[s] / adapt_window
-                    scale = sites[s].scale * float(np.exp(gain * (rate - sites[s].target_rate)))
-                    sites[s].scale = min(max(scale, 1e-8), 1e8)
+                rate = acc_win / adapt_window
+                for site, _, uo in layout:
+                    if isinstance(site, GroupSites):
+                        site.scales = _adapted(site.scales, rate[uo : uo + site.scales.size],
+                                               site.target_rate, gain)
+                    else:
+                        site.scale = float(_adapted(site.scale, rate[uo], site.target_rate, gain))
                 acc_win[:] = 0
         elif (it - burn_in) % thin == thin - 1:
             out[stored] = target.param_vector()
@@ -205,7 +283,6 @@ class _BetaModelTarget:
         self.ylog_both = self.ylog + self.y1mlog
         self._linkinv = ctx.link.inv
         self.starts = ctx.group_starts
-        self.sizes = ctx.data.group_sizes
         self.eta = ctx.eta(np.asarray(x0, dtype=float))
         self._staged: tuple | None = None
         self._rebuild_theta_caches()
@@ -242,14 +319,12 @@ class _BetaModelTarget:
             self.group_lik = np.zeros(self.ctx.n_groups)
             self.lik_total = 0.0
 
-    def _terms(self, eta: np.ndarray, phi: float, rows: slice | None = None) -> np.ndarray:
+    def _terms(self, eta: np.ndarray, phi: float) -> np.ndarray:
         mu = np.minimum(np.maximum(self._linkinv(eta), MU_EPS), 1.0 - MU_EPS)
         a = mu * phi
         b = phi - a
-        ylog = self.ylog if rows is None else self.ylog[rows]
-        y1mlog = self.y1mlog if rows is None else self.y1mlog[rows]
-        both = self.ylog_both if rows is None else self.ylog_both[rows]
-        return gammaln(phi) - gammaln(a) - gammaln(b) + a * ylog + b * y1mlog - both
+        return (gammaln(phi) - gammaln(a) - gammaln(b) + a * self.ylog + b * self.y1mlog
+                - self.ylog_both)
 
     # -- site interface -------------------------------------------------------
 
@@ -257,8 +332,6 @@ class _BetaModelTarget:
         kind = key[0]
         if kind == "beta":
             return self._stage_beta(key[1], float(delta[0]))
-        if kind == "b":
-            return self._stage_b(key[1], delta)
         if kind == "theta":
             return self._stage_theta(delta)
         if kind == "recenter":
@@ -281,22 +354,13 @@ class _BetaModelTarget:
             else:
                 self.eta = eta_new
             self.beta_lp = self.ctx.beta_log_prior(self.x_beta)
-        elif key[0] == "b":
-            _, _, i, b_new, eta_sl, terms_sl, lik_i, quad_i, sl = staged
-            self.x_b[i] = b_new
-            self.eta[sl] = eta_sl
-            self.prior_quad[i] = quad_i
-            if self.lam > 0.0:
-                self.row_terms[sl] = terms_sl
-                self.lik_total += lik_i - self.group_lik[i]
-                self.group_lik[i] = lik_i
         elif key[0] == "recenter":
             _, _, k, a, new_bk, b_col, quad_new = staged
             self.x_beta[k] = new_bk
             self.x_b[:, a] = b_col
             self.prior_quad = quad_new
             self.beta_lp = self.ctx.beta_log_prior(self.x_beta)
-        else:
+        elif key[0] == "theta":
             (_, _, theta_new, terms, q_mat, q_logdet, prior_quad, hyper_lp) = staged
             self.theta = theta_new
             self.phi = float(np.exp(theta_new[0]))
@@ -309,6 +373,46 @@ class _BetaModelTarget:
                 self.row_terms = terms
                 self.group_lik = np.add.reduceat(terms, self.starts)
                 self.lik_total = float(np.sum(self.group_lik))
+        else:
+            raise KeyError(f"unknown site {key!r}")
+
+    def stage_groups(self, delta: np.ndarray) -> np.ndarray:
+        """Stage a move of every group's effect vector by its row of ``delta``
+        (N, q) and return the N log acceptance ratios.
+
+        Group i's ratio involves only its prior quadratic form and its own
+        rows, so it is the ratio a move of that group alone would have.
+        """
+        b_new = self.x_b + delta
+        quad = 0.5 * np.einsum("nq,qr,nr->n", b_new, self.q_mat, b_new)
+        logr = self.prior_quad - quad
+        eta = self.eta + np.sum(self.ctx.Z * delta[self.ctx.groups], axis=1)
+        terms = lik = None
+        if self.lam > 0.0:
+            terms = self._terms(eta, self.phi)
+            lik = np.add.reduceat(terms, self.starts)
+            logr += self.lam * (lik - self.group_lik)
+        self._staged = (("groups",), b_new, quad, eta, terms, lik)
+        return logr
+
+    def commit_groups(self, accepted: np.ndarray) -> None:
+        """Apply the staged group moves where the mask ``accepted`` is true."""
+        staged = self._staged
+        if staged is None or staged[0] != ("groups",):
+            raise RuntimeError("no staged group moves")
+        self._staged = None
+        _, b_new, quad, eta, terms, lik = staged
+        self.x_b[accepted] = b_new[accepted]
+        self.prior_quad[accepted] = quad[accepted]
+        rows = accepted[self.ctx.groups]
+        self.eta[rows] = eta[rows]
+        if self.lam > 0.0:
+            self.row_terms[rows] = terms[rows]
+            # add the accepted groups' changes in index order, the same
+            # sequence of roundings a group-by-group sweep makes
+            change = lik[accepted] - self.group_lik[accepted]
+            self.lik_total = float(np.add.accumulate(np.append(self.lik_total, change))[-1])
+            self.group_lik[accepted] = lik[accepted]
 
     # -- staging ---------------------------------------------------------------
 
@@ -322,23 +426,6 @@ class _BetaModelTarget:
             terms = self._terms(eta_new, self.phi)
             dlp += self.lam * (float(np.sum(terms)) - self.lik_total)
         self._staged = (("beta", k), "beta", k, new_bk, eta_new, terms)
-        return float(dlp)
-
-    def _stage_b(self, i: int, delta: np.ndarray) -> float:
-        b_new = self.x_b[i] + delta
-        quad_i = 0.5 * float(b_new @ self.q_mat @ b_new)
-        dlp = self.prior_quad[i] - quad_i
-        sl = slice(self.starts[i], self.starts[i] + self.sizes[i])
-        eta_sl = terms_sl = None
-        lik_i = 0.0
-        if self.lam > 0.0:
-            eta_sl = self.eta[sl] + self.ctx.Z[sl] @ delta
-            terms_sl = self._terms(eta_sl, self.phi, rows=sl)
-            lik_i = float(np.sum(terms_sl))
-            dlp += self.lam * (lik_i - self.group_lik[i])
-        else:
-            eta_sl = self.eta[sl] + self.ctx.Z[sl] @ delta
-        self._staged = (("b", i), "b", i, b_new, eta_sl, terms_sl, lik_i, quad_i, sl)
         return float(dlp)
 
     def _stage_recenter(self, a: int, d: float) -> float:
@@ -640,10 +727,8 @@ def run_mcmc(
         jit_x = x0.copy()
         nb = ctx.n_groups * ctx.q
         if ctx.q:
-            for i in range(ctx.n_groups):
-                jit_x[i * ctx.q : (i + 1) * ctx.q] += config.jitter * (
-                    b_chols[i] @ rng.standard_normal(ctx.q)
-                )
+            z = rng.standard_normal((ctx.n_groups, ctx.q, 1))
+            jit_x[:nb] += config.jitter * np.matmul(b_chols, z).ravel()
         jit_x[nb:] += config.jitter * beta_sd * rng.standard_normal(ctx.p)
 
         target = _BetaModelTarget(ctx, jit_theta, jit_x, config.likelihood_scale,
@@ -652,15 +737,13 @@ def run_mcmc(
             Site(("beta", k), 1, 2.4 * float(beta_sd[k])) for k in range(ctx.p)
         ]
         if ctx.q:
-            sites += [
-                Site(("b", i), ctx.q, 2.4 / np.sqrt(ctx.q), chol=b_chols[i].copy())
-                for i in range(ctx.n_groups)
-            ]
+            sites.append(GroupSites(b_chols, np.full(ctx.n_groups, 2.4 / np.sqrt(ctx.q))))
         sites += [Site(("theta",), m, 2.4 / np.sqrt(m), chol=theta_chol.copy())]
         for a, k in recenter_pairs:
             ridge_prec = ctx.beta_prior_prec[k] + ctx.n_groups * q0_mat[a, a]
             sites += [Site(("recenter", a), 1, 2.4 / np.sqrt(max(ridge_prec, 1e-12)))]
 
+        t_chain = time.perf_counter()
         draws, rates = sample_metropolis(
             target, sites, config.iterations, config.burn_in, config.thin,
             rng, adapt_window=config.adapt_window,
@@ -668,6 +751,12 @@ def run_mcmc(
         all_draws[c] = draws
         for k, r in rates.items():
             acc[str(k)][c] = r
+        group_rates = [r for k, r in rates.items() if k[0] == "b"]
+        logger.info(
+            "mcmc chain %d of %d: %d sweeps in %.2f s, mean group acceptance %s",
+            c + 1, config.n_chains, config.iterations, time.perf_counter() - t_chain,
+            f"{np.mean(group_rates):.3f}" if group_rates else "n/a",
+        )
 
     return ChainOutput(
         samples=all_draws,

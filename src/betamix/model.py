@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import hashlib
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -47,7 +47,6 @@ from scipy import special
 from .distributions import (
     LOG_2PI,
     DomainError,
-    GammaShapeRate,
     beta_curv_mu,
     beta_logpdf_arrays,
     beta_score_mu,
@@ -65,8 +64,6 @@ __all__ = [
     "BlockCholesky",
     "ModelContext",
     "build_design",
-    "joint_log_posterior",
-    "joint_grad_hessian",
     "LINKS",
 ]
 
@@ -848,20 +845,3 @@ class ModelContext:
 
         grad = np.concatenate([grad_b.ravel(), grad_beta])
         return grad, BlockSymmetric(h_bb, h_bx, h_xx)
-
-
-# ---------------------------------------------------------------------------
-# public wrappers
-# ---------------------------------------------------------------------------
-
-
-def joint_log_posterior(x, theta: HyperPoint, data: Dataset, spec: ModelSpec, priors: PriorSpec) -> float:
-    """Unnormalized log posterior of (latent field, hyperparameters)."""
-    ctx = ModelContext(data, spec, priors)
-    return ctx.joint_log_posterior(np.asarray(x, dtype=float), theta)
-
-
-def joint_grad_hessian(x, theta: HyperPoint, data: Dataset, spec: ModelSpec, priors: PriorSpec):
-    """Gradient and block-structured Hessian of the joint in the latent field."""
-    ctx = ModelContext(data, spec, priors)
-    return ctx.grad_hessian(np.asarray(x, dtype=float), theta)

@@ -1,5 +1,6 @@
 """Adaptive sampler: diagnostics, prior recovery, reproducibility."""
 
+import logging
 from dataclasses import replace
 
 import numpy as np
@@ -8,12 +9,14 @@ import pytest
 from betamix.mcmc import (
     ChainOutput,
     McmcConfig,
+    _BetaModelTarget,
     effective_sample_size,
     export_chains,
     gelman_rubin,
     interval_containment,
     run_mcmc,
 )
+from betamix.model import HyperPoint, ModelContext
 from betamix.priors import default_priors
 from betamix.simulate import simulate_study
 
@@ -67,6 +70,67 @@ def test_effective_sample_size_iid_vs_autocorrelated(rng):
 def test_interval_containment_counts_inclusively():
     draws = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
     assert interval_containment(draws, (1.0, 3.0)) == pytest.approx(0.6)
+
+
+# -- the all-groups pass ----------------------------------------------------------
+
+# Fixed before the group pass was written: its log ratios must match a direct
+# evaluation of the joint posterior, and its incremental caches a rebuild.
+GROUP_LOG_RATIO_TOL = 1e-9
+GROUP_CACHE_TOL = 1e-10
+
+
+def _group_target(random, lam, rng):
+    study = simulate_study(seed=4, n_groups=6, n_total=48, random=random)
+    priors = replace(default_priors(study.spec), intercept_precision=1e-2)
+    ctx = ModelContext(study.data, study.spec, priors)
+    theta = (HyperPoint.from_natural(80.0, 40.0) if ctx.q == 1
+             else HyperPoint.from_natural(80.0, 40.0, 300.0, 0.3))
+    x = rng.normal(scale=0.3, size=ctx.n_latent)
+    target = _BetaModelTarget(ctx, theta.as_array(), x, lam, [])
+    delta = rng.normal(scale=0.2, size=(ctx.n_groups, ctx.q))
+    return ctx, theta, x, target, delta
+
+
+@pytest.mark.parametrize("lam", [1.0, 0.5, 0.0])
+@pytest.mark.parametrize("random", ["intercept", "intercept+slope"])
+def test_group_pass_log_ratios_match_joint_posterior(random, lam, rng):
+    ctx, theta, x, target, delta = _group_target(random, lam, rng)
+    logr = target.stage_groups(delta)
+    assert logr.shape == (ctx.n_groups,)
+    base = ctx.joint_log_posterior(x, theta)
+    base_lik = ctx.loglik(ctx.eta(x), theta.phi)
+    for i in range(ctx.n_groups):
+        moved = x.copy()
+        moved[i * ctx.q : (i + 1) * ctx.q] += delta[i]
+        lik_change = ctx.loglik(ctx.eta(moved), theta.phi) - base_lik
+        # the joint change with its likelihood part tempered by lambda
+        expected = ctx.joint_log_posterior(moved, theta) - base - (1.0 - lam) * lik_change
+        assert abs(logr[i] - expected) < GROUP_LOG_RATIO_TOL, (i, logr[i], expected)
+
+
+@pytest.mark.parametrize("lam", [1.0, 0.0])
+@pytest.mark.parametrize("random", ["intercept", "intercept+slope"])
+def test_group_pass_commit_keeps_caches_consistent(random, lam, rng):
+    ctx, theta, x, target, delta = _group_target(random, lam, rng)
+    accepted = np.arange(ctx.n_groups) % 3 != 1
+    b_before = target.x_b.copy()
+    target.stage_groups(delta)
+    target.commit_groups(accepted)
+    np.testing.assert_array_equal(target.x_b[accepted], b_before[accepted] + delta[accepted])
+    np.testing.assert_array_equal(target.x_b[~accepted], b_before[~accepted])
+
+    kept = {name: np.copy(getattr(target, name))
+            for name in ("eta", "row_terms", "group_lik", "lik_total", "prior_quad")}
+    target.eta = ctx.eta(np.concatenate([target.x_b.ravel(), target.x_beta]))
+    np.testing.assert_allclose(kept["eta"], target.eta, rtol=0, atol=GROUP_CACHE_TOL)
+    target._rebuild_theta_caches()
+    target._rebuild_lik_caches()
+    for name, value in kept.items():
+        np.testing.assert_allclose(value, getattr(target, name), rtol=0,
+                                   atol=GROUP_CACHE_TOL, err_msg=name)
+    with pytest.raises(RuntimeError):
+        target.commit_groups(accepted)
 
 
 # -- prior recovery (likelihood switched off) ----------------------------------
@@ -128,14 +192,32 @@ def test_kde_uses_log_scale_for_positive_hypers(reduced_mcmc):
     assert forced.x[0] < k_phi.x[0]
 
 
-def test_fixed_seed_bitwise_reproducibility():
-    study = simulate_study(seed=2, n_groups=4, n_total=32)
+@pytest.mark.parametrize("random", ["intercept", "intercept+slope"])
+def test_fixed_seed_bitwise_reproducibility(random):
+    study = simulate_study(seed=2, n_groups=4, n_total=32, random=random)
+    assert study.spec.slope_column == (None if random == "intercept" else "income")
     cfg = McmcConfig(n_chains=2, iterations=1_500, burn_in=300, thin=3, seed=11)
     a = run_mcmc(study.data, study.spec, config=cfg)
     b = run_mcmc(study.data, study.spec, config=cfg)
     np.testing.assert_array_equal(a.samples, b.samples)
+    group_keys = sorted(k for k in a.acceptance if k.startswith("('b',"))
+    assert group_keys == sorted(str(("b", i)) for i in range(4))
     c = run_mcmc(study.data, study.spec, config=replace(cfg, seed=12))
     assert not np.array_equal(a.samples, c.samples)
+
+
+def test_progress_is_logged_once_per_chain(caplog):
+    study = simulate_study(seed=2, n_groups=4, n_total=32)
+    cfg = McmcConfig(n_chains=2, iterations=60, burn_in=20, thin=2, seed=1)
+    with caplog.at_level(logging.INFO, logger="betamix"):
+        out = run_mcmc(study.data, study.spec, config=cfg)
+    lines = [r for r in caplog.records if r.name == "betamix"]
+    assert [r.levelno for r in lines] == [logging.INFO, logging.INFO]
+    for c, record in enumerate(lines):
+        msg = record.getMessage()
+        assert f"chain {c + 1} of 2" in msg and "60 sweeps" in msg
+        rate = np.mean([out.acceptance[str(("b", i))][c] for i in range(4)])
+        assert msg.endswith(f"mean group acceptance {rate:.3f}")
 
 
 def test_export_chains(tmp_path, reduced_mcmc):
