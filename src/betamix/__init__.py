@@ -15,11 +15,7 @@ CPO; prior robustness is quantified with calibrated Hellinger scans.
 
 from .config import AnalysisConfig, load_csv
 from .density import MarginalDensity, kde_density
-from .distributions import (
-    DomainError,
-    GammaShapeRate,
-    StudentTParams,
-)
+from .distributions import DomainError, GammaShapeRate
 from .laplace import FitResult, LaplaceOptions, ThetaGrid, fit_laplace, grid_log_evidence
 from .likelihood import (
     MLFit,
@@ -73,7 +69,6 @@ __all__ = [
     "SensitivityReport",
     "SimulatedStudy",
     "SimulationTruth",
-    "StudentTParams",
     "ThetaGrid",
     "WishartPrior",
     "calibrate_prior",

@@ -1,4 +1,4 @@
-"""Log densities, score functions and quantile routines shared by every engine.
+"""Log densities and score functions shared by every engine.
 
 The beta distribution is handled exclusively in its mean/precision
 parametrization: for mean ``mu`` in (0, 1) and precision ``phi > 0`` the
@@ -22,20 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
-from scipy.optimize import brentq
 
 __all__ = [
     "DomainError",
     "GammaShapeRate",
-    "StudentTParams",
     "beta_logpdf_arrays",
     "beta_score_mu",
     "beta_curv_mu",
     "gamma_logpdf",
     "wishart_logpdf",
-    "student_t_cdf",
-    "student_t_quantile",
-    "scaled_t_logpdf",
 ]
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -61,27 +56,6 @@ class GammaShapeRate:
     @property
     def mean(self) -> float:
         return self.shape / self.rate
-
-
-@dataclass(frozen=True)
-class StudentTParams:
-    """Location-scale Student t.
-
-    ``scale`` is the *squared* scale (variance-like) parameter: the marginal
-    of ``b`` with ``b | tau ~ N(0, 1/tau)`` and ``tau ~ Gamma(a1, a2)`` is a
-    ``StudentTParams(0, a2 / a1, 2 * a1)``.  As ``df -> inf`` the density
-    approaches a ``N(location, scale)`` (scale read as variance).
-    """
-
-    location: float
-    scale: float
-    df: float
-
-    def __post_init__(self) -> None:
-        if not self.scale > 0.0:
-            raise DomainError(f"scale must be positive, got {self.scale}")
-        if not self.df > 0.0:
-            raise DomainError(f"df must be positive, got {self.df}")
 
 
 def beta_logpdf_arrays(y, mu, phi):
@@ -206,54 +180,4 @@ def wishart_logpdf(q_mat, df: float, scale):
         - 0.5 * df * d * np.log(2.0)
         - 0.5 * df * logdet_s
         - special.multigammaln(0.5 * df, d)
-    )
-
-
-def student_t_cdf(x: float, df: float) -> float:
-    """CDF of the standard Student t via the regularized incomplete beta."""
-    if not df > 0.0:
-        raise DomainError(f"df must be positive, got {df}")
-    x = float(x)
-    if x == 0.0:
-        return 0.5
-    tail = 0.5 * special.betainc(0.5 * df, 0.5, df / (df + x * x))
-    return tail if x < 0.0 else 1.0 - tail
-
-
-def student_t_quantile(prob: float, df: float) -> float:
-    """Quantile of the standard Student t by bracketed root finding.
-
-    Robustness over speed: expand a bracket geometrically, then Brent on the
-    incomplete-beta CDF.  ``prob`` must lie strictly in (0, 1).
-    """
-    if not (0.0 < prob < 1.0):
-        raise DomainError(f"prob must lie strictly in (0, 1), got {prob}")
-    if prob == 0.5:
-        return 0.0
-
-    def f(x: float) -> float:
-        return student_t_cdf(x, df) - prob
-
-    lo, hi = -1.0, 1.0
-    while f(lo) > 0.0:
-        lo *= 2.0
-        if not np.isfinite(lo):
-            raise DomainError("failed to bracket the t quantile")
-    while f(hi) < 0.0:
-        hi *= 2.0
-        if not np.isfinite(hi):
-            raise DomainError("failed to bracket the t quantile")
-    return float(brentq(f, lo, hi, xtol=1e-13, rtol=8.9e-16))
-
-
-def scaled_t_logpdf(x, p: StudentTParams):
-    """Log density of the location/squared-scale Student t (see StudentTParams)."""
-    x = np.asarray(x, dtype=float)
-    z = x - p.location
-    d, s2 = p.df, p.scale
-    return (
-        special.gammaln(0.5 * (d + 1.0))
-        - special.gammaln(0.5 * d)
-        - 0.5 * np.log(d * np.pi * s2)
-        - 0.5 * (d + 1.0) * np.log1p(z * z / (d * s2))
     )

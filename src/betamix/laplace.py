@@ -2,12 +2,13 @@
 
 The machinery has two layers.  The generic layer works on any log posterior
 over a low-dimensional (<= 4) unconstrained hyperparameter vector:
-:func:`explore_theta` locates the mode by quasi-Newton, standardizes axes by
-the marginal standard deviations of the finite-difference curvature, and lays
-an axis-aligned grid (z-step 0.75) that it trims where the log density falls
-more than 6.0 below the mode; :func:`marginal_hyper` collapses the grid along
-one axis and smooths the log weights with a cubic spline before transforming
-back to the natural scale; :func:`grid_log_evidence` integrates the grid.
+:func:`explore_theta` locates the mode by BFGS on a central-difference
+gradient (``model.maximize``), standardizes axes by the marginal standard
+deviations of the finite-difference curvature, and lays an axis-aligned grid
+(z-step 0.75) that it trims where the log density falls more than 6.0 below
+the mode; :func:`marginal_hyper` collapses the grid along one axis and
+smooths the log weights with a cubic spline before transforming back to the
+natural scale; :func:`grid_log_evidence` integrates the grid.
 
 The model layer supplies that log posterior: for each hyperparameter point a
 Newton iteration (analytic gradient and block Hessian) finds the conditional
@@ -28,7 +29,6 @@ from itertools import product
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import logsumexp
 
 from .density import MarginalDensity, kde_density
@@ -40,6 +40,7 @@ from .model import (
     ModelContext,
     ModelSpec,
     fd_hessian,
+    maximize,
     moment_start,
     natural_scale,
 )
@@ -96,10 +97,13 @@ def find_conditional_mode(
     Stops when the max-norm of the gradient drops below ``tol``.  When the
     negative Hessian is not positive definite the step falls back to scaled
     steepest ascent; each step is halved until the objective increases.  A
-    point where the objective can no longer be improved at all is accepted as
-    converged provided the gradient is already tiny (below ``stall_tol``);
-    that situation is the floating-point floor of the objective, reached on
-    badly scaled hyperparameter corners before the strict tolerance is.
+    point where the Newton step promises a gain below the floating-point
+    resolution of the objective is accepted as converged, whatever the
+    gradient: no line search can improve on it.  So is a point where the
+    line search fails while the gradient is already tiny (below
+    ``stall_tol``).  Both are the floating-point floor of the objective,
+    reached before the strict tolerance where the curvature is large, as at
+    a tight random-effect precision.
     """
     x = np.zeros(ctx.n_latent) if x0 is None else np.asarray(x0, dtype=float).copy()
     stall_tol = 1e-4
@@ -128,7 +132,7 @@ def find_conditional_mode(
             step = (-hess).cholesky().solve(grad)
             # quadratic-model gain; once it sinks below float resolution of
             # f there is nothing left to gain from a line search
-            if gnorm < stall_tol and 0.5 * float(grad @ step) < 1e-12 * (1.0 + abs(f)):
+            if 0.5 * float(grad @ step) < 1e-12 * (1.0 + abs(f)):
                 return finish(it, gnorm, hess)
         except np.linalg.LinAlgError:
             step = grad / (1.0 + gnorm)  # steepest ascent, conservatively scaled
@@ -260,17 +264,7 @@ def _mode_curvature(fn: Callable[[np.ndarray], float], mode: np.ndarray) -> tupl
 
 
 def _optimize_mode(fn, theta0: np.ndarray) -> np.ndarray:
-    neg = lambda t: -fn(t)
-    res = minimize(neg, theta0, method="BFGS", options={"gtol": 1e-6, "maxiter": 200})
-    best_x, best_f = res.x, res.fun
-    if not res.success:
-        res2 = minimize(
-            neg, best_x, method="Nelder-Mead",
-            options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": 2000},
-        )
-        if res2.fun < best_f:
-            best_x, best_f = res2.x, res2.fun
-    return np.asarray(best_x, dtype=float)
+    return maximize(fn, theta0).x
 
 
 def explore_theta(

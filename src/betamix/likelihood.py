@@ -9,12 +9,14 @@ conditional mode (Rue, Martino & Chopin 2009).  The modes are found by one
 batched Newton over all groups, with the N q x q curvature blocks solved in
 closed form, warm started between evaluations because the optimizer visits
 nearby parameter values.  The link derivatives, row likelihood, hyper names,
-start point and finite-difference curvature come from the model core.
+start point, finite-difference curvature and outer search come from the
+model core.
 
 ``ml_fit`` maximizes the marginal log likelihood over the unconstrained
-vector (fixed effects, log phi, log tau, and atanh rho when present) with a
-quasi-Newton method and reports natural-scale estimates with delta-method
-standard errors from the finite-difference observed information.
+vector (fixed effects, log phi, log tau, and atanh rho when present) by BFGS
+on a central-difference gradient (``model.maximize``) and reports
+natural-scale estimates with delta-method standard errors from the
+finite-difference observed information.
 
 ``profile_interval`` inverts the likelihood ratio statistic: it profiles the
 log likelihood along one coordinate, re-optimizing the nuisance parameters
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq, minimize
+from scipy.optimize import brentq
 from scipy.stats import chi2, norm
 
 from .distributions import DomainError
@@ -47,6 +49,7 @@ from .model import (
     fd_hessian,
     group_sums,
     loglik_rows,
+    maximize,
     moment_start,
     natural_scale,
 )
@@ -293,54 +296,20 @@ _DERIV: dict[str, Callable[[float], float]] = {
 }
 
 
-def ml_fit(data: Dataset, spec: ModelSpec, start: np.ndarray | None = None,
-           gtol: float = 1.0e-5) -> MLFit:
+def ml_fit(data: Dataset, spec: ModelSpec) -> MLFit:
     """Maximize the marginal log likelihood and package the result.
 
-    Quasi-Newton search on the unconstrained vector, with a simplex polish
-    if the gradient test is not met; standard errors come from the
-    finite-difference observed information at the optimum.
+    One :func:`model.maximize` search over the unconstrained vector, started
+    from the link of the mean response and the moment start of the
+    hyperparameters; ``converged`` is that search's stopping rule.  Standard
+    errors come from the finite-difference observed information at the
+    optimum.
     """
     lik = _MarginalLoglik(data, spec)
-    if start is None:
-        beta0 = np.zeros(lik.p)
-        beta0[0] = float(lik.link.fwd(np.clip(float(np.mean(data.y)), 0.01, 0.99)))
-        v0 = np.concatenate([beta0, moment_start(data.y, spec.q).as_array()])
-    else:
-        v0 = np.asarray(start, dtype=float)
-    if v0.shape != (lik.dim,):
-        raise DomainError(f"start vector must have length {lik.dim}")
-
-    def neg(v):
-        return -lik(v)
-
-    res = minimize(neg, v0, method="BFGS", options={"gtol": gtol, "maxiter": 500})
-    best_x, best_f = res.x, res.fun
-    # BFGS with difference gradients often stops on "precision loss" when the
-    # gradient is already far below any scale that moves the estimates (a
-    # residual gradient of 0.05 shifts every estimate by at most a few
-    # percent of its standard error here); treat that as convergence and only
-    # polish genuine failures.
-    converged = bool(res.success) or float(np.max(np.abs(res.jac))) < 0.05
-    message = str(res.message)
-    if not converged:
-        polish = minimize(
-            neg, best_x, method="Nelder-Mead",
-            options={"xatol": 1.0e-9, "fatol": 1.0e-11, "maxiter": 2000},
-        )
-        if polish.fun <= best_f:
-            best_x, best_f = polish.x, polish.fun
-        again = minimize(neg, best_x, method="BFGS", options={"gtol": gtol, "maxiter": 200})
-        if again.fun <= best_f:
-            best_x, best_f = again.x, again.fun
-        converged = bool(
-            again.success or polish.success
-            or float(np.max(np.abs(again.jac))) < 0.05
-        )
-        message = str(again.message)
-
-    vhat = np.asarray(best_x, dtype=float)
-    loglik = -float(best_f)
+    beta0 = np.zeros(lik.p)
+    beta0[0] = float(lik.link.fwd(np.clip(float(np.mean(data.y)), 0.01, 0.99)))
+    best = maximize(lik, np.concatenate([beta0, moment_start(data.y, spec.q).as_array()]))
+    vhat, loglik = best.x, best.value
 
     # Two-stage observed information: a coarse pass sets per-coordinate
     # scales, a second pass refines.  Steps are capped so a flat direction
@@ -372,13 +341,13 @@ def ml_fit(data: Dataset, spec: ModelSpec, start: np.ndarray | None = None,
         vector=vhat,
         se_unconstrained=se_u,
         vcov_unconstrained=vcov,
-        converged=converged,
+        converged=best.converged,
         n_obs=data.n,
         n_groups=data.n_groups,
         spec=spec,
         data_fingerprint=data.fingerprint(),
         n_eval=lik.n_calls,
-        message=message,
+        message=best.message,
         _lik=lik,
     )
 
@@ -449,9 +418,9 @@ def profile_interval(fit: MLFit, param: str | int, level: float = 0.95) -> Profi
     """Profile likelihood interval for one parameter of an ``ml_fit`` result.
 
     The nuisance parameters are re-optimized at every probe point, warm
-    started from the previous solution; endpoints are transformed back to
-    the natural scale, so an unbounded side comes out as 0 or +/-inf as the
-    transform dictates.
+    started from the previous solution and from the nuisance curvature at
+    the optimum; endpoints are transformed back to the natural scale, so an
+    unbounded side comes out as 0 or +/-inf as the transform dictates.
     """
     if fit._lik is None:
         raise DomainError("this MLFit does not carry its likelihood evaluator")
@@ -465,23 +434,18 @@ def profile_interval(fit: MLFit, param: str | int, level: float = 0.95) -> Profi
         se_j = 0.1 * (1.0 + abs(float(fit.vector[j])))
 
     others = [a for a in range(lik.dim) if a != j]
-    warm = {"w": fit.vector[others].copy()}
+    warm = fit.vector[others]
+    # every inner search starts from the nuisance block's curvature at the
+    # optimum: the Schur complement of coordinate j in the covariance
+    vcov = 0.5 * (fit.vcov_unconstrained + fit.vcov_unconstrained.T)
+    inv_curv = vcov[np.ix_(others, others)] - np.outer(vcov[others, j], vcov[j, others]) / vcov[j, j]
 
     def profiled(u: float) -> float:
-        if not others:
-            return lik(np.array([u]))
-
-        def neg(w):
-            v = np.empty(lik.dim)
-            v[j] = u
-            v[others] = w
-            return -lik(v)
-
-        res = minimize(neg, warm["w"], method="BFGS",
-                       options={"gtol": 1.0e-6, "maxiter": 200})
-        if np.all(np.isfinite(res.x)) and res.fun < -0.5 * _PENALTY:
-            warm["w"] = res.x
-        return -float(res.fun)
+        nonlocal warm
+        best = maximize(lambda w: lik(np.insert(w, j, u)), warm, inv_curv=inv_curv)
+        if best.value > 0.5 * _PENALTY:
+            warm = best.x
+        return best.value
 
     calls_before = lik.n_calls
     lo_u, hi_u, _ = profile_bounds(

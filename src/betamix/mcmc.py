@@ -78,7 +78,6 @@ __all__ = [
     "run_mcmc",
     "gelman_rubin",
     "effective_sample_size",
-    "interval_containment",
     "export_chains",
 ]
 
@@ -546,13 +545,6 @@ def effective_sample_size(chains: np.ndarray) -> float:
     """Sum of per-chain effective sizes (Geyer initial positive sequence)."""
     chains = np.atleast_2d(np.asarray(chains, dtype=float))
     return float(sum(_ess_single(c) for c in chains))
-
-
-def interval_containment(draws: np.ndarray, interval: tuple[float, float]) -> float:
-    """Fraction of draws inside a closed interval."""
-    lo, hi = interval
-    draws = np.asarray(draws, dtype=float).ravel()
-    return float(np.mean((draws >= lo) & (draws <= hi)))
 
 
 # ---------------------------------------------------------------------------

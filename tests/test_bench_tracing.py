@@ -50,3 +50,9 @@ def test_tracer_installs_and_counts_every_engine_layer(tracing):
         assert tracer.n_calls(span) > 0, span
     layers = tracing.layer_metrics(tracer, rounds=1)
     assert layers["likelihood.fit_evals"] == fit.n_eval
+    # the one outer search calls scipy through the name the tracer wraps,
+    # and no fallback search runs after it
+    assert layers["laplace.optimizer_fallbacks"] == 0
+    assert layers["laplace.optimizer_runs"] >= 1
+    assert layers["laplace.optimizer_evals"] > 0
+    assert layers["likelihood.optimizer_runs"] >= 1

@@ -2,20 +2,16 @@
 
 import numpy as np
 import pytest
-from scipy import integrate, special, stats
+from scipy import special, stats
 
 from betamix.distributions import (
     DomainError,
     GammaShapeRate,
-    StudentTParams,
     _trigamma,
     beta_curv_mu,
     beta_logpdf_arrays,
     beta_score_mu,
     gamma_logpdf,
-    scaled_t_logpdf,
-    student_t_cdf,
-    student_t_quantile,
     wishart_logpdf,
 )
 
@@ -108,43 +104,6 @@ def test_wishart_logpdf_matches_scipy(rng):
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-8)
 
 
-def test_student_t_cdf_and_quantile(rng):
-    for df in (1.0, 3.0, 7.0, 30.0):
-        xs = rng.normal(scale=2.0, size=6)
-        for x in xs:
-            np.testing.assert_allclose(student_t_cdf(x, df), stats.t.cdf(x, df), atol=1e-10)
-        for p in (0.025, 0.2, 0.5, 0.9, 0.975):
-            q = student_t_quantile(p, df)
-            np.testing.assert_allclose(q, stats.t.ppf(p, df), rtol=1e-8, atol=1e-8)
-            np.testing.assert_allclose(student_t_cdf(q, df), p, atol=1e-10)
-
-
-@pytest.mark.parametrize("a1,a2", [(2.0, 3.0), (0.5, 0.001487)])
-def test_gamma_mixture_of_gaussians_is_scaled_t(a1, a2):
-    """Integrating N(x; 0, 1/tau) against Ga(tau; a1, a2) gives the scaled t."""
-    params = StudentTParams(0.0, a2 / a1, 2.0 * a1)
-    xs = np.linspace(-4.0 * np.sqrt(a2 / a1 + 1.0), 4.0 * np.sqrt(a2 / a1 + 1.0), 20)
-    for x in xs:
-        def integrand(tau, x=x):
-            return np.exp(
-                gamma_logpdf(tau, GammaShapeRate(a1, a2))
-                - 0.5 * np.log(2.0 * np.pi)
-                + 0.5 * np.log(tau)
-                - 0.5 * tau * x * x
-            )
-
-        mixed, err = integrate.quad(integrand, 0.0, np.inf, limit=300)
-        assert err < 1e-7
-        np.testing.assert_allclose(mixed, np.exp(scaled_t_logpdf(x, params)), rtol=1e-6)
-
-
-def test_scaled_t_approaches_gaussian_at_large_df():
-    p = StudentTParams(1.5, 4.0, 5e6)
-    xs = np.linspace(-4.0, 7.0, 9)
-    want = stats.norm.logpdf(xs, loc=1.5, scale=2.0)
-    np.testing.assert_allclose(scaled_t_logpdf(xs, p), want, atol=1e-5)
-
-
 def test_domain_errors():
     with pytest.raises(DomainError):
         beta_logpdf_arrays(0.5, 0.0, 10.0)
@@ -154,8 +113,6 @@ def test_domain_errors():
         beta_logpdf_arrays(np.array([0.5, 1.0]), 0.5, 10.0)
     with pytest.raises(DomainError):
         GammaShapeRate(1.0, 0.0)
-    with pytest.raises(DomainError):
-        student_t_quantile(0.0, 3.0)
 
 
 def test_gamma_mean():

@@ -49,6 +49,11 @@ def test_ml_without_random_effects_matches_direct_optimizer():
     assert fit.estimate("phi") == pytest.approx(np.exp(opt.x[-1]), rel=2e-5)
 
 
+def test_ml_fit_converges_on_default_study(default_ml):
+    assert default_ml.converged, default_ml.message
+    assert default_ml.n_eval < 2000
+
+
 # -- integrated likelihood oracle ------------------------------------------------
 
 

@@ -13,7 +13,6 @@ from betamix.mcmc import (
     effective_sample_size,
     export_chains,
     gelman_rubin,
-    interval_containment,
     run_mcmc,
 )
 from betamix.model import HyperPoint, ModelContext
@@ -65,11 +64,6 @@ def test_effective_sample_size_iid_vs_autocorrelated(rng):
     for t in range(1, 1500):
         ar[:, t] = rho * ar[:, t - 1] + np.sqrt(1 - rho * rho) * rng.normal(size=3)
     assert effective_sample_size(ar) < 0.25 * ar.size
-
-
-def test_interval_containment_counts_inclusively():
-    draws = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
-    assert interval_containment(draws, (1.0, 3.0)) == pytest.approx(0.6)
 
 
 # -- the all-groups pass ----------------------------------------------------------
