@@ -168,10 +168,7 @@ def _cmd_mcmc(config: AnalysisConfig, args, out_dir: Path) -> dict:
     t_run = time.perf_counter()
     marginals = _write_marginal_csvs(output, output.names, out_dir, kde=True)
     chains = [Path(p).name for p in export_chains(output, out_dir)]
-    acceptance = {
-        "_".join(map(str, site)) if isinstance(site, tuple) else str(site): float(np.mean(rates))
-        for site, rates in output.acceptance.items()
-    }
+    acceptance = {site: float(np.mean(rates)) for site, rates in output.acceptance.items()}
     return {
         "command": "mcmc",
         "engine": "mcmc",

@@ -155,7 +155,6 @@ def kde_density(
     name: str = "",
     n_eff: float | None = None,
     grid_points: int = 401,
-    bandwidth: float | None = None,
     log_scale: bool = False,
 ) -> MarginalDensity:
     """Gaussian kernel density estimate as a :class:`MarginalDensity`.
@@ -179,7 +178,6 @@ def kde_density(
             name=name,
             n_eff=n_eff,
             grid_points=grid_points,
-            bandwidth=bandwidth,
         )
         return base.map_monotone(np.exp, name)
     if weights is None:
@@ -191,8 +189,7 @@ def kde_density(
     sd = float(np.sqrt(max(np.sum(w * (values - mean) ** 2), 1e-300)))
     if n_eff is None:
         n_eff = 1.0 / float(np.sum(w * w))
-    if bandwidth is None:
-        bandwidth = max(1.06 * sd * max(n_eff, 2.0) ** (-0.2), 1e-12 * (1.0 + abs(mean)))
+    bandwidth = max(1.06 * sd * max(n_eff, 2.0) ** (-0.2), 1e-12 * (1.0 + abs(mean)))
     lo = float(np.min(values) - 4.0 * bandwidth)
     hi = float(np.max(values) + 4.0 * bandwidth)
     xs = np.linspace(lo, hi, grid_points)

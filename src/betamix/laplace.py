@@ -4,11 +4,14 @@ The machinery has two layers.  The generic layer works on any log posterior
 over a low-dimensional (<= 4) unconstrained hyperparameter vector:
 :func:`explore_theta` locates the mode by BFGS on a central-difference
 gradient (``model.maximize``), standardizes axes by the marginal standard
-deviations of the finite-difference curvature, and lays an axis-aligned grid
-(z-step 0.75) that it trims where the log density falls more than 6.0 below
-the mode; :func:`marginal_hyper` collapses the grid along one axis and
-smooths the log weights with a cubic spline before transforming back to the
-natural scale; :func:`grid_log_evidence` integrates the grid.
+deviations of the two-stage finite-difference curvature there
+(``model.fd_curvature``), and lays an axis-aligned grid (z-step 0.75) that
+it trims where the log density falls more than 6.0 below the mode;
+:func:`marginal_hyper` collapses the grid along one axis and smooths the log
+weights with a cubic spline before transforming back to the natural scale
+through ``model.TRANSFORMS``, whose derivative gives the Jacobian;
+:func:`grid_log_evidence` integrates the grid.  A hyper-mode search that
+ends unconverged logs a ``WARNING`` on the ``betamix`` logger.
 
 The model layer supplies that log posterior: for each hyperparameter point a
 Newton iteration (analytic gradient and block Hessian) finds the conditional
@@ -22,6 +25,7 @@ Gaussian mixtures over the grid (no skewness correction).
 
 from __future__ import annotations
 
+import logging
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -34,12 +38,14 @@ from scipy.special import logsumexp
 from .density import MarginalDensity, kde_density
 from .distributions import LOG_2PI, DomainError
 from .model import (
+    COORD_CAP,
+    TRANSFORMS,
     BlockCholesky,
     Dataset,
     HyperPoint,
     ModelContext,
     ModelSpec,
-    fd_hessian,
+    fd_curvature,
     maximize,
     moment_start,
     natural_scale,
@@ -62,7 +68,16 @@ __all__ = [
     "fit_laplace",
 ]
 
+logger = logging.getLogger("betamix")
+
 MAX_HYPER_DIM = 4
+#: conditional-mode Newton: gradient max-norm tolerance, iteration budget
+#: and step halvings per line search
+NEWTON_TOL = 1e-8
+NEWTON_MAX_ITER = 100
+MAX_HALVINGS = 30
+#: grid steps per direction before an axis scan is truncated
+MAX_AXIS_STEPS = 40
 
 
 class ModeConvergenceError(RuntimeError):
@@ -84,18 +99,12 @@ class ModeResult:
     grad_norm: float
 
 
-def find_conditional_mode(
-    ctx: ModelContext,
-    theta: HyperPoint,
-    x0: np.ndarray | None = None,
-    tol: float = 1e-8,
-    max_iter: int = 100,
-    max_halvings: int = 30,
-) -> ModeResult:
+def find_conditional_mode(ctx: ModelContext, theta: HyperPoint,
+                          x0: np.ndarray | None = None) -> ModeResult:
     """Newton maximization of the joint over the latent field at fixed theta.
 
-    Stops when the max-norm of the gradient drops below ``tol``.  When the
-    negative Hessian is not positive definite the step falls back to scaled
+    Stops when the max-norm of the gradient drops below ``NEWTON_TOL``.  When
+    the negative Hessian is not positive definite the step falls back to scaled
     steepest ascent; each step is halved until the objective increases.  A
     point where the Newton step promises a gain below the floating-point
     resolution of the objective is accepted as converged, whatever the
@@ -120,13 +129,13 @@ def find_conditional_mode(
             ) from exc
         return ModeResult(x, chol, f, it, gnorm)
 
-    for it in range(max_iter + 1):
+    for it in range(NEWTON_MAX_ITER + 1):
         grad, hess = ctx.grad_hessian(x, theta)
         gnorm = float(np.max(np.abs(grad))) if grad.size else 0.0
         trace.append((it, f, gnorm))
-        if gnorm < tol:
+        if gnorm < NEWTON_TOL:
             return finish(it, gnorm, hess)
-        if it == max_iter:
+        if it == NEWTON_MAX_ITER:
             break
         try:
             step = (-hess).cholesky().solve(grad)
@@ -137,7 +146,7 @@ def find_conditional_mode(
         except np.linalg.LinAlgError:
             step = grad / (1.0 + gnorm)  # steepest ascent, conservatively scaled
         alpha = 1.0
-        for _ in range(max_halvings + 1):
+        for _ in range(MAX_HALVINGS + 1):
             x_new = x + alpha * step
             try:
                 f_new = objective(x_new)
@@ -156,18 +165,14 @@ def find_conditional_mode(
     grad, hess = ctx.grad_hessian(x, theta)
     gnorm = float(np.max(np.abs(grad))) if grad.size else 0.0
     if gnorm < stall_tol:
-        return finish(max_iter, gnorm, hess)
-    raise ModeConvergenceError(f"no convergence in {max_iter} Newton iterations", trace)
+        return finish(NEWTON_MAX_ITER, gnorm, hess)
+    raise ModeConvergenceError(f"no convergence in {NEWTON_MAX_ITER} Newton iterations", trace)
 
 
-def log_posterior_theta(
-    ctx: ModelContext,
-    theta: HyperPoint,
-    x0: np.ndarray | None = None,
-    tol: float = 1e-8,
-) -> tuple[float, ModeResult]:
+def log_posterior_theta(ctx: ModelContext, theta: HyperPoint,
+                        x0: np.ndarray | None = None) -> tuple[float, ModeResult]:
     """Laplace-approximated unnormalized log posterior of theta."""
-    mode = find_conditional_mode(ctx, theta, x0=x0, tol=tol)
+    mode = find_conditional_mode(ctx, theta, x0=x0)
     value = mode.logpost + 0.5 * ctx.n_latent * LOG_2PI - 0.5 * mode.chol.logdet()
     return value, mode
 
@@ -232,10 +237,6 @@ class ThetaGrid:
     def size(self) -> int:
         return self.theta.shape[0]
 
-    @property
-    def mode_point(self) -> "HyperPoint":
-        return HyperPoint.from_array(self.mode)
-
     def natural_values(self, j: int) -> np.ndarray:
         return natural_scale(self.theta[:, j], self.transforms[j])
 
@@ -243,28 +244,12 @@ class ThetaGrid:
         return float(np.sum(self.weights * self.natural_values(j)))
 
 
-def _spd_floor(mat: np.ndarray) -> np.ndarray:
-    """Clip eigenvalues so the curvature is usable even on flat directions."""
-    vals, vecs = np.linalg.eigh(mat)
-    top = float(np.max(vals))
-    if top <= 0.0:
-        return np.eye(mat.shape[0])
-    vals = np.maximum(vals, 1e-8 * top)
-    return (vecs * vals) @ vecs.T
-
-
-def _mode_curvature(fn: Callable[[np.ndarray], float], mode: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Two-stage finite-difference curvature at a mode: a crude pass sets the
-    per-axis scales, a second pass with steps rescaled to them refines.
-    Returns the floored negative Hessian and the per-axis standard deviations."""
-    curv = _spd_floor(-fd_hessian(fn, mode, 0.05 * (1.0 + np.abs(mode))))
-    sigma = np.sqrt(np.diag(np.linalg.inv(curv)))
-    curv = _spd_floor(-fd_hessian(fn, mode, np.maximum(0.1 * sigma, 1e-6)))
-    return curv, np.sqrt(np.diag(np.linalg.inv(curv)))
-
-
 def _optimize_mode(fn, theta0: np.ndarray) -> np.ndarray:
-    return maximize(fn, theta0).x
+    """The hyper mode by ``model.maximize``; an unconverged search is logged."""
+    best = maximize(fn, theta0)
+    if not best.converged:
+        logger.warning("hyper-mode search did not converge: %s", best.message)
+    return best.x
 
 
 def explore_theta(
@@ -274,7 +259,6 @@ def explore_theta(
     transforms: Sequence[str],
     step: float = 0.75,
     cutoff: float = 6.0,
-    max_axis_steps: int = 40,
 ) -> ThetaGrid:
     """Locate the hyperparameter mode and lay the standardized grid.
 
@@ -294,7 +278,8 @@ def explore_theta(
     mode = _optimize_mode(logpost_fn, theta0)
     f_mode = logpost_fn(mode)
 
-    curv, sigma = _mode_curvature(logpost_fn, mode)
+    curv, cov = fd_curvature(logpost_fn, mode)
+    sigma = np.sqrt(np.diag(cov))
 
     values: dict[tuple[int, ...], float] = {tuple([0] * m): f_mode}
 
@@ -310,7 +295,7 @@ def explore_theta(
     for j in range(m):
         lo = hi = 0
         for direction in (+1, -1):
-            for k in range(1, max_axis_steps + 1):
+            for k in range(1, MAX_AXIS_STEPS + 1):
                 zidx = tuple(direction * k if jj == j else 0 for jj in range(m))
                 val = eval_at(zidx)
                 if f_mode - val > cutoff:
@@ -318,10 +303,10 @@ def explore_theta(
             else:
                 warnings.warn(
                     f"axis {names[j]} did not reach the cutoff within "
-                    f"{max_axis_steps} steps; grid truncated",
+                    f"{MAX_AXIS_STEPS} steps; grid truncated",
                     stacklevel=2,
                 )
-                k = max_axis_steps
+                k = MAX_AXIS_STEPS
             if direction > 0:
                 hi = k
             else:
@@ -407,15 +392,12 @@ def marginal_hyper(grid: ThetaGrid, j: int, grid_points: int = 401) -> MarginalD
         pdf = np.exp(-0.5 * ((fine - grid.mode[j]) / sd) ** 2)
 
     x_nat = natural_scale(fine, transform)
-    if transform == "exp":
-        pdf = pdf / x_nat
-    elif transform == "tanh":
-        pdf = pdf / np.maximum(1.0 - x_nat * x_nat, 1e-300)
-    return MarginalDensity(x_nat, pdf, name=name)
+    return MarginalDensity(x_nat, pdf / np.maximum(TRANSFORMS[transform][1](fine), 1e-300),
+                           name=name)
 
 
-def marginal_latent(grid: ThetaGrid, k: int, n_blocks: int, q: int, name: str = "",
-                    grid_points: int = 501) -> MarginalDensity:
+def marginal_latent(grid: ThetaGrid, k: int, n_blocks: int, q: int, grid_points: int,
+                    name: str = "") -> MarginalDensity:
     """Mixture-of-Gaussians marginal of latent component ``k`` over the grid."""
     if grid.conditionals is None:
         raise ValueError("grid carries no latent conditionals")
@@ -439,10 +421,8 @@ def marginal_latent(grid: ThetaGrid, k: int, n_blocks: int, q: int, name: str = 
 class LaplaceOptions:
     step: float = 0.75
     cutoff: float = 6.0
-    newton_tol: float = 1e-8
     grid_points: int = 401
     compute_gof: bool = True
-    max_axis_steps: int = 40
 
 
 @dataclass
@@ -471,7 +451,8 @@ class FitResult:
         if name in self.latent_names:
             k = self.latent_names.index(name)
             ctx = self._require_ctx()
-            return marginal_latent(self.theta_grid, k, ctx.n_groups, ctx.q, name=name)
+            return marginal_latent(self.theta_grid, k, ctx.n_groups, ctx.q,
+                                   self.options.grid_points, name=name)
         raise KeyError(f"unknown parameter {name!r}")
 
     def interval(self, name: str, level: float = 0.95) -> tuple[float, float]:
@@ -492,9 +473,8 @@ class FitResult:
 class _ThetaObjective:
     """Warm-started Laplace objective with a mode cache keyed by coordinates."""
 
-    def __init__(self, ctx: ModelContext, tol: float):
+    def __init__(self, ctx: ModelContext):
         self.ctx = ctx
-        self.tol = tol
         self.warm: np.ndarray | None = None
         self.modes: dict[tuple[float, ...], ModeResult] = {}
         self.n_eval = 0
@@ -505,15 +485,15 @@ class _ThetaObjective:
         if key in self.modes:
             mode = self.modes[key]
             return mode.logpost + 0.5 * self.ctx.n_latent * LOG_2PI - 0.5 * mode.chol.logdet()
-        if np.max(np.abs(theta_arr)) > 50.0:
+        if np.max(np.abs(theta_arr)) > COORD_CAP:
             return -1e10 * (1.0 + float(np.sum(np.abs(theta_arr))))
         theta = HyperPoint.from_array(theta_arr)
         try:
-            value, mode = log_posterior_theta(self.ctx, theta, x0=self.warm, tol=self.tol)
+            value, mode = log_posterior_theta(self.ctx, theta, x0=self.warm)
         except (ModeConvergenceError, np.linalg.LinAlgError, DomainError, OverflowError):
             # a stale warm start can strand Newton; retry from the origin
             try:
-                value, mode = log_posterior_theta(self.ctx, theta, x0=None, tol=self.tol)
+                value, mode = log_posterior_theta(self.ctx, theta, x0=None)
             except (ModeConvergenceError, np.linalg.LinAlgError, DomainError, OverflowError):
                 return -1e10 * (1.0 + float(np.sum(np.abs(theta_arr))))
         self.warm = mode.x
@@ -529,19 +509,17 @@ class _ThetaObjective:
         return self.modes[key]
 
 
-def hyper_mode(
-    ctx: ModelContext, tol: float = 1e-8
-) -> tuple[np.ndarray, ModeResult, np.ndarray, np.ndarray]:
+def hyper_mode(ctx: ModelContext) -> tuple[np.ndarray, ModeResult, np.ndarray, np.ndarray]:
     """Posterior mode of the hyperparameters with curvature and scales.
 
     Returns the unconstrained mode coordinates, the conditional latent mode
     there, the finite-difference negative Hessian and the per-axis standard
     deviations.  Used to initialize the sampler.
     """
-    objective = _ThetaObjective(ctx, tol)
+    objective = _ThetaObjective(ctx)
     mode_arr = _optimize_mode(objective, moment_start(ctx.y, ctx.q).as_array())
-    curv, sigma = _mode_curvature(objective, mode_arr)
-    return mode_arr, objective.mode_at(mode_arr), curv, sigma
+    curv, cov = fd_curvature(objective, mode_arr)
+    return mode_arr, objective.mode_at(mode_arr), curv, np.sqrt(np.diag(cov))
 
 
 def fit_laplace(
@@ -561,7 +539,7 @@ def fit_laplace(
     ctx = ModelContext(data, spec, priors)
 
     t0 = time.perf_counter()
-    objective = _ThetaObjective(ctx, opts.newton_tol)
+    objective = _ThetaObjective(ctx)
     grid = explore_theta(
         objective,
         moment_start(ctx.y, ctx.q).as_array(),
@@ -569,7 +547,6 @@ def fit_laplace(
         transforms=ctx.hyper_transforms,
         step=opts.step,
         cutoff=opts.cutoff,
-        max_axis_steps=opts.max_axis_steps,
     )
     t_grid = time.perf_counter()
 
@@ -583,9 +560,8 @@ def fit_laplace(
     marginals: dict[str, MarginalDensity] = {}
     nb = ctx.n_groups * ctx.q
     for k, name in enumerate(ctx.beta_names):
-        marginals[name] = marginal_latent(
-            grid, nb + k, ctx.n_groups, ctx.q, name=name, grid_points=opts.grid_points
-        )
+        marginals[name] = marginal_latent(grid, nb + k, ctx.n_groups, ctx.q, opts.grid_points,
+                                          name=name)
     for j, name in enumerate(ctx.hyper_names):
         marginals[name] = marginal_hyper(grid, j, grid_points=opts.grid_points)
     if ctx.q == 2:
@@ -597,14 +573,10 @@ def fit_laplace(
         marginals["rho"] = kde_density(rho_vals, weights=grid.weights, name="rho")
     t_marg = time.perf_counter()
 
-    param_names = list(ctx.beta_names) + list(ctx.hyper_names)
-    if ctx.q == 2:
-        param_names.append("rho")
-
     fit = FitResult(
         marginals=marginals,
         theta_grid=grid,
-        param_names=tuple(param_names),
+        param_names=ctx.param_names,
         latent_names=ctx.latent_names,
         spec=spec,
         priors=priors,

@@ -8,15 +8,17 @@ integral that is approximated by Laplace's method around the group's own
 conditional mode (Rue, Martino & Chopin 2009).  The modes are found by one
 batched Newton over all groups, with the N q x q curvature blocks solved in
 closed form, warm started between evaluations because the optimizer visits
-nearby parameter values.  The link derivatives, row likelihood, hyper names,
-start point, finite-difference curvature and outer search come from the
-model core.
+nearby parameter values.  The design, link derivatives, row likelihood,
+hyper names, log det Q, coordinate cap, start point and outer search come
+from the model core.
 
 ``ml_fit`` maximizes the marginal log likelihood over the unconstrained
 vector (fixed effects, log phi, log tau, and atanh rho when present) by BFGS
 on a central-difference gradient (``model.maximize``) and reports
-natural-scale estimates with delta-method standard errors from the
-finite-difference observed information.
+natural-scale estimates with delta-method standard errors: the observed
+information is the two-stage finite-difference curvature
+``model.fd_curvature``, and the derivatives of the transforms come from
+``model.TRANSFORMS``.
 
 ``profile_interval`` inverts the likelihood ratio statistic: it profiles the
 log likelihood along one coordinate, re-optimizing the nuisance parameters
@@ -38,21 +40,21 @@ from scipy.stats import chi2, norm
 
 from .distributions import DomainError
 from .model import (
-    HYPER_NAMES,
-    HYPER_TRANSFORMS,
-    LINKS,
+    COORD_CAP,
+    TRANSFORMS,
     Dataset,
     HyperPoint,
+    ModelContext,
     ModelSpec,
-    build_design,
     eta_derivs,
-    fd_hessian,
+    fd_curvature,
     group_sums,
     loglik_rows,
     maximize,
     moment_start,
     natural_scale,
 )
+from .priors import default_priors
 
 __all__ = [
     "MLFit",
@@ -64,34 +66,30 @@ __all__ = [
 ]
 
 _PENALTY = -1.0e10
-_COORD_CAP = 50.0
+#: profile probes: the first step as a fraction of the scale, and the budget
+_PROBE_FRAC = 0.2
+_MAX_PROBES = 80
 
 
 class _MarginalLoglik:
     """Marginal log likelihood of (beta, hyper) with warm-started group modes.
 
     Callable on the unconstrained vector ``[beta, log_phi, raneff...]``.
-    Instances hold the design and the previous conditional modes, so
-    repeated evaluations at nearby points cost one or two Newton steps.
+    Instances hold the model context (design, link and names; its priors
+    never enter) and the previous conditional modes, so repeated
+    evaluations at nearby points cost one or two Newton steps.
     """
 
     def __init__(self, data: Dataset, spec: ModelSpec):
-        design = build_design(data, spec)
-        self.link = LINKS[spec.link]
-        self.X = design.X
-        self.Z = design.Z
-        self.y = data.y
-        self.p = design.X.shape[1]
-        self.q = spec.q
-        self._groups = data.groups
-        self._starts = data.group_starts
-        self.names = tuple(f"beta_{lab}" for lab in design.labels) + HYPER_NAMES[self.q]
-        self.transforms = ("identity",) * self.p + HYPER_TRANSFORMS[self.q]
+        self.ctx = ctx = ModelContext(data, spec, default_priors(spec))
+        self.link, self.p, self.q = ctx.link, ctx.p, ctx.q
+        self.names = ctx.beta_names + ctx.hyper_names
+        self.transforms = ("identity",) * self.p + ctx.hyper_transforms
         self.dim = len(self.names)
-        self._warm = np.zeros((data.n_groups, self.q))
+        self._warm = np.zeros((ctx.n_groups, self.q))
         self.n_calls = 0
 
-    def _group_integrals(self, eta0: np.ndarray, q_mat: np.ndarray, phi: float) -> float:
+    def _group_integrals(self, eta0: np.ndarray, hp: HyperPoint) -> float:
         """Sum over groups of the Laplace-integrated group likelihoods.
 
         One Newton search runs over all groups at once: each iteration
@@ -99,18 +97,19 @@ class _MarginalLoglik:
         closed form; each group halves its own step until its value rises.
         Raises ``DomainError`` when any group ends away from a proper mode.
         """
-        Z, starts, groups = self.Z, self._starts, self._groups
+        Z, starts, groups, y = self.ctx.Z, self.ctx.group_starts, self.ctx.groups, self.ctx.y
+        q_mat, phi = hp.precision_matrix(), hp.phi
         b = self._warm.copy()
 
         def values(bvec):
             eta = eta0 + (Z * bvec[groups]).sum(axis=1)
-            rows = loglik_rows(self.link, self.y, eta, phi)
+            rows = loglik_rows(self.link, y, eta, phi)
             return np.add.reduceat(rows, starts) - 0.5 * ((bvec @ q_mat) * bvec).sum(axis=1)
 
         def grad_curv(bvec):
             """Gradient (N, q) and negative Hessian blocks (N, q, q)."""
             eta = eta0 + (Z * bvec[groups]).sum(axis=1)
-            s, w = eta_derivs(self.link, self.y, eta, phi)
+            s, w = eta_derivs(self.link, y, eta, phi)
             zs, zwz = group_sums(Z, starts, s, w)
             return zs - bvec @ q_mat, q_mat - zwz
 
@@ -155,23 +154,23 @@ class _MarginalLoglik:
         if not np.all((np.abs(grad).max(axis=1) <= 1.0e-3) & (curv[:, 0, 0] > 0.0) & (det > 0.0)):
             raise DomainError("a group mode search did not converge")
         self._warm = b
-        half_logdet_q = 0.5 * float(np.log(_block_det(q_mat[None])[0]))
-        return float(np.sum(f) + b.shape[0] * half_logdet_q - 0.5 * np.sum(np.log(det)))
+        return float(np.sum(f) + b.shape[0] * (0.5 * hp.precision_logdet())
+                     - 0.5 * np.sum(np.log(det)))
 
     def __call__(self, v: np.ndarray) -> float:
         self.n_calls += 1
         v = np.asarray(v, dtype=float)
         if v.shape != (self.dim,):
             raise DomainError(f"expected a vector of length {self.dim}")
-        if not np.all(np.isfinite(v)) or float(np.max(np.abs(v))) > _COORD_CAP:
+        if not np.all(np.isfinite(v)) or float(np.max(np.abs(v))) > COORD_CAP:
             finite = v[np.isfinite(v)]
             return _PENALTY * (1.0 + float(np.sum(np.abs(finite))))
         hp = HyperPoint.from_array(v[self.p :])
-        eta0 = self.X @ v[: self.p]
+        eta0 = self.ctx.X @ v[: self.p]
         if self.q == 0:
-            return float(np.sum(loglik_rows(self.link, self.y, eta0, hp.phi)))
+            return float(np.sum(loglik_rows(self.link, self.ctx.y, eta0, hp.phi)))
         try:
-            return self._group_integrals(eta0, hp.precision_matrix(), hp.phi)
+            return self._group_integrals(eta0, hp)
         except DomainError:
             return _PENALTY * (1.0 + float(np.sum(np.abs(v))))
 
@@ -218,13 +217,6 @@ class ProfileInterval:
     upper: float
     drop: float
     n_eval: int
-
-    def contains(self, value: float) -> bool:
-        return self.lower <= value <= self.upper
-
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
 
 
 @dataclass
@@ -289,13 +281,6 @@ class MLFit:
         return out
 
 
-_DERIV: dict[str, Callable[[float], float]] = {
-    "identity": lambda u: 1.0,
-    "exp": lambda u: float(np.exp(u)),
-    "tanh": lambda u: float(1.0 - np.tanh(u) ** 2),
-}
-
-
 def ml_fit(data: Dataset, spec: ModelSpec) -> MLFit:
     """Maximize the marginal log likelihood and package the result.
 
@@ -311,25 +296,12 @@ def ml_fit(data: Dataset, spec: ModelSpec) -> MLFit:
     best = maximize(lik, np.concatenate([beta0, moment_start(data.y, spec.q).as_array()]))
     vhat, loglik = best.x, best.value
 
-    # Two-stage observed information: a coarse pass sets per-coordinate
-    # scales, a second pass refines.  Steps are capped so a flat direction
-    # cannot push a probe into the penalty region and wreck the differences.
-    hess = fd_hessian(lik, vhat, np.minimum(0.05 * (1.0 + np.abs(vhat)), 0.5))
-    info = -hess
-    eigvals, eigvecs = np.linalg.eigh(info)
-    floor = max(1.0e-8 * float(np.max(eigvals)), 1.0e-12)
-    eigvals = np.maximum(eigvals, floor)
-    sigma = np.sqrt((eigvecs**2) @ (1.0 / eigvals))
-    hess = fd_hessian(lik, vhat, np.clip(0.1 * sigma, 1.0e-4, 0.5))
-    info = -hess
-    eigvals, eigvecs = np.linalg.eigh(info)
-    eigvals = np.maximum(eigvals, max(1.0e-8 * float(np.max(eigvals)), 1.0e-12))
-    vcov = (eigvecs / eigvals) @ eigvecs.T
+    _, vcov = fd_curvature(lik, vhat)
     se_u = np.sqrt(np.diag(vcov))
 
     params = np.array([natural_scale(u, t) for t, u in zip(lik.transforms, vhat)])
     se_nat = np.array(
-        [abs(_DERIV[t](u)) * s for t, u, s in zip(lik.transforms, vhat, se_u)]
+        [abs(TRANSFORMS[t][1](u)) * s for t, u, s in zip(lik.transforms, vhat, se_u)]
     )
 
     return MLFit(
@@ -358,19 +330,17 @@ def profile_bounds(
     peak: float,
     scale: float,
     drop: float,
-    step_frac: float = 0.2,
-    max_steps: int = 80,
     t_max: float | None = None,
 ) -> tuple[float, float, int]:
     """Find where a profiled log likelihood falls ``drop`` below ``peak``.
 
-    Marches outward from ``center`` in probe steps of ``step_frac * scale``
-    (growing once the uniform probes are exhausted), brackets the first sign
-    change of ``profiled(u) - (peak - drop)`` on each side, and polishes the
-    crossing with Brent's method.  A side that never crosses within the
-    probe range (or within ``t_max`` of the center when given) is reported
-    as infinite, which callers map to an open-ended interval.  Returns
-    ``(lower, upper, n_eval)``.
+    Marches outward from ``center`` in probe steps of ``0.2 * scale``
+    (growing by half each probe after the first 20, at most 80 probes a
+    side), brackets the first sign change of ``profiled(u) - (peak - drop)``
+    on each side, and polishes the crossing with Brent's method.  A side
+    that never crosses within the probe range (or within ``t_max`` of the
+    center when given) is reported as infinite, which callers map to an
+    open-ended interval.  Returns ``(lower, upper, n_eval)``.
     """
     if scale <= 0.0 or not np.isfinite(scale):
         raise DomainError("profile scale must be positive and finite")
@@ -386,10 +356,10 @@ def profile_bounds(
     bounds = []
     for sign in (-1.0, 1.0):
         t_prev, g_prev = 0.0, drop
-        stride = step_frac * scale
+        stride = _PROBE_FRAC * scale
         t = stride
         bound = sign * np.inf
-        for k in range(max_steps):
+        for k in range(_MAX_PROBES):
             if t_max is not None and t > t_max:
                 break
             g_t = g(center + sign * t)
@@ -450,7 +420,7 @@ def profile_interval(fit: MLFit, param: str | int, level: float = 0.95) -> Profi
     calls_before = lik.n_calls
     lo_u, hi_u, _ = profile_bounds(
         profiled, float(fit.vector[j]), fit.loglik, se_j, drop,
-        t_max=_COORD_CAP - 5.0 - abs(float(fit.vector[j])),
+        t_max=COORD_CAP - 5.0 - abs(float(fit.vector[j])),
     )
     # an open side is -inf or +inf here, which the transform maps to its limit
     t = fit.transforms[j]

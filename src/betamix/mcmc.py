@@ -66,7 +66,7 @@ from scipy.special import gammaln
 from ._io import atomic_write
 from .density import MarginalDensity, kde_density
 from .distributions import DomainError
-from .model import MU_EPS, Dataset, HyperPoint, ModelContext, ModelSpec
+from .model import COORD_CAP, MU_EPS, Dataset, HyperPoint, ModelContext, ModelSpec
 from .priors import PriorSpec, default_priors
 
 __all__ = [
@@ -85,6 +85,10 @@ logger = logging.getLogger("betamix")
 
 # hyper sites with positive support, density-estimated on the log scale
 _POSITIVE_SITES = frozenset({"phi", "tau1_sq", "tau2_sq"})
+#: sweeps per burn-in adaptation window
+ADAPT_WINDOW = 50
+#: scale of each chain's start jitter, in units of the start's standard deviations
+JITTER = 0.1
 
 
 @dataclass(frozen=True)
@@ -97,8 +101,6 @@ class McmcConfig:
     thin: int = 100
     seed: int = 0
     likelihood_scale: float = 1.0
-    adapt_window: int = 50
-    jitter: float = 0.1
 
     def __post_init__(self) -> None:
         if self.n_chains < 1:
@@ -171,7 +173,6 @@ def sample_metropolis(
     burn_in: int,
     thin: int,
     rng: np.random.Generator,
-    adapt_window: int = 50,
 ) -> tuple[np.ndarray, dict[tuple, float]]:
     """Generic adaptive Metropolis-within-Gibbs sweep driver.
 
@@ -234,9 +235,9 @@ def sample_metropolis(
                     commit(site.key)
                     acc[uo] += 1
         if in_burnin:
-            if (it + 1) % adapt_window == 0:
-                gain = 1.0 / np.sqrt((it + 1) // adapt_window)
-                rate = acc_win / adapt_window
+            if (it + 1) % ADAPT_WINDOW == 0:
+                gain = 1.0 / np.sqrt((it + 1) // ADAPT_WINDOW)
+                rate = acc_win / ADAPT_WINDOW
                 for site, _, uo in layout:
                     if isinstance(site, GroupSites):
                         site.scales = _adapted(site.scales, rate[uo : uo + site.scales.size],
@@ -291,17 +292,13 @@ class _BetaModelTarget:
 
     # -- cache plumbing ------------------------------------------------------
 
-    def _hyper(self, theta: np.ndarray) -> HyperPoint:
-        return HyperPoint.from_array(theta)
-
     def _rebuild_theta_caches(self) -> None:
-        hp = self._hyper(self.theta)
+        hp = HyperPoint.from_array(self.theta)
         self.phi = hp.phi
         self.hyper_lp = self.ctx.hyper_log_prior(hp)
         if self.ctx.q:
             self.q_mat = hp.precision_matrix()
-            chol = np.linalg.cholesky(self.q_mat)
-            self.q_logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
+            self.q_logdet = hp.precision_logdet()
             self.prior_quad = 0.5 * np.einsum("nq,qr,nr->n", self.x_b, self.q_mat, self.x_b)
         else:
             self.q_mat = None
@@ -447,17 +444,16 @@ class _BetaModelTarget:
 
     def _stage_theta(self, delta: np.ndarray) -> float:
         theta_new = self.theta + delta
-        if np.max(np.abs(theta_new)) > 50.0:
+        if np.max(np.abs(theta_new)) > COORD_CAP:
             self._staged = (("theta",), "theta", theta_new, None, None, 0.0, None, -np.inf)
             return -np.inf
-        hp = self._hyper(theta_new)
+        hp = HyperPoint.from_array(theta_new)
         hyper_lp = self.ctx.hyper_log_prior(hp)
         dlp = hyper_lp - self.hyper_lp
         q_mat = q_logdet = prior_quad = None
         if self.ctx.q:
             q_mat = hp.precision_matrix()
-            chol = np.linalg.cholesky(q_mat)
-            q_logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
+            q_logdet = hp.precision_logdet()
             prior_quad = 0.5 * np.einsum("nq,qr,nr->n", self.x_b, q_mat, self.x_b)
             dlp += 0.5 * self.ctx.n_groups * (q_logdet - self.q_logdet)
             dlp += float(np.sum(self.prior_quad) - np.sum(prior_quad))
@@ -472,27 +468,9 @@ class _BetaModelTarget:
 
     # -- reporting ---------------------------------------------------------------
 
-    def natural_hyper(self) -> list[float]:
-        out = [float(np.exp(self.theta[0]))]
-        if self.ctx.q == 1:
-            out.append(float(np.exp(self.theta[1])))
-        elif self.ctx.q == 2:
-            t1 = float(np.exp(self.theta[1]))
-            t2 = float(np.exp(self.theta[2]))
-            c = float(np.tanh(self.theta[3]))
-            out.extend([t1, t2, c, c / float(np.sqrt(t1 * t2))])
-        return out
-
     def param_vector(self) -> np.ndarray:
-        return np.concatenate([self.x_beta, self.natural_hyper(), self.x_b.ravel()])
-
-
-def _param_names(ctx: ModelContext) -> tuple[str, ...]:
-    names = list(ctx.beta_names) + list(ctx.hyper_names)
-    if ctx.q == 2:
-        names.append("rho")
-    names.extend(ctx.latent_names[: ctx.n_groups * ctx.q])
-    return tuple(names)
+        hyper = list(HyperPoint.from_array(self.theta).natural().values())
+        return np.concatenate([self.x_beta, hyper, self.x_b.ravel()])
 
 
 # ---------------------------------------------------------------------------
@@ -665,7 +643,7 @@ def run_mcmc(
     config = config or McmcConfig()
     priors = default_priors(spec) if priors is None else priors
     ctx = ModelContext(data, spec, priors)
-    m = 1 + (0 if ctx.q == 0 else (1 if ctx.q == 1 else 3))
+    m = len(ctx.hyper_names)
 
     if config.likelihood_scale > 0.0:
         theta0, mode_res, curv, sigma_theta = hyper_mode(ctx)
@@ -689,7 +667,7 @@ def run_mcmc(
         sigma_theta = np.ones(m)
         theta_chol = np.eye(m)
 
-    names = _param_names(ctx)
+    names = ctx.param_names + ctx.latent_names[: ctx.n_groups * ctx.q]
     seq = np.random.SeedSequence(config.seed)
     children = seq.spawn(config.n_chains)
 
@@ -715,13 +693,13 @@ def run_mcmc(
     t_start = time.perf_counter()
     for c in range(config.n_chains):
         rng = np.random.default_rng(children[c])
-        jit_theta = theta0 + config.jitter * sigma_theta * rng.standard_normal(m)
+        jit_theta = theta0 + JITTER * sigma_theta * rng.standard_normal(m)
         jit_x = x0.copy()
         nb = ctx.n_groups * ctx.q
         if ctx.q:
             z = rng.standard_normal((ctx.n_groups, ctx.q, 1))
-            jit_x[:nb] += config.jitter * np.matmul(b_chols, z).ravel()
-        jit_x[nb:] += config.jitter * beta_sd * rng.standard_normal(ctx.p)
+            jit_x[:nb] += JITTER * np.matmul(b_chols, z).ravel()
+        jit_x[nb:] += JITTER * beta_sd * rng.standard_normal(ctx.p)
 
         target = _BetaModelTarget(ctx, jit_theta, jit_x, config.likelihood_scale,
                                   recenter_pairs)
@@ -737,8 +715,7 @@ def run_mcmc(
 
         t_chain = time.perf_counter()
         draws, rates = sample_metropolis(
-            target, sites, config.iterations, config.burn_in, config.thin,
-            rng, adapt_window=config.adapt_window,
+            target, sites, config.iterations, config.burn_in, config.thin, rng
         )
         all_draws[c] = draws
         for k, r in rates.items():

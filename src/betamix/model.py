@@ -32,6 +32,14 @@ effects: ``x = (b_1, ..., b_N, beta)``.  Its negative Hessian is block
 diagonal in the ``b_i`` with dense coupling rows for ``beta``;
 :class:`BlockSymmetric` stores exactly that structure and factorizes it by a
 Schur complement instead of densifying.
+
+Every decision the three engines share lives here once: the row likelihood
+and its link derivatives (``loglik_rows``, ``eta_derivs``), the
+unconstrained-to-natural transforms with their derivatives (``TRANSFORMS``),
+log det Q (:meth:`HyperPoint.precision_logdet`), the coordinate cap
+``COORD_CAP``, the moment start point, the outer search (``maximize``) and
+the two-stage finite-difference curvature at its optimum
+(``fd_curvature``).
 """
 
 from __future__ import annotations
@@ -454,6 +462,13 @@ class HyperPoint:
             out["rho"] = c / float(np.sqrt(t1 * t2))
         return out
 
+    def precision_logdet(self) -> float:
+        """log det Q from its Cholesky factor; 0 without random effects."""
+        if self.q == 0:
+            return 0.0
+        chol = np.linalg.cholesky(self.precision_matrix())
+        return 2.0 * float(np.sum(np.log(np.diag(chol))))
+
     def log_jacobian(self) -> float:
         """log |d(natural)/d(unconstrained)| for hyperprior evaluation.
 
@@ -475,16 +490,24 @@ class HyperPoint:
 HYPER_NAMES = {0: ("phi",), 1: ("phi", "tau1_sq"), 2: ("phi", "tau1_sq", "tau2_sq", "rho_corr")}
 HYPER_TRANSFORMS = {0: ("exp",), 1: ("exp", "exp"), 2: ("exp", "exp", "exp", "tanh")}
 
+#: unconstrained-to-natural transforms by name: (map, derivative of the map)
+TRANSFORMS: dict[str, tuple[Callable, Callable]] = {
+    "exp": (np.exp, np.exp),
+    "tanh": (np.tanh, lambda u: 1.0 - np.tanh(u) ** 2),
+    "identity": (lambda u: np.asarray(u, dtype=float), lambda u: np.ones_like(u, dtype=float)),
+}
+
+#: largest |coordinate| of an unconstrained hyper or likelihood vector that
+#: the engines evaluate; every engine treats a point beyond it as outside
+#: the support
+COORD_CAP = 50.0
+
 
 def natural_scale(vals, transform: str) -> np.ndarray:
     """Map unconstrained coordinates to the natural scale by name of transform."""
-    if transform == "exp":
-        return np.exp(vals)
-    if transform == "tanh":
-        return np.tanh(vals)
-    if transform == "identity":
-        return np.asarray(vals, dtype=float)
-    raise ValueError(f"unknown transform {transform!r}")
+    if transform not in TRANSFORMS:
+        raise ValueError(f"unknown transform {transform!r}")
+    return TRANSFORMS[transform][0](vals)
 
 
 def moment_start(y: np.ndarray, q: int) -> HyperPoint:
@@ -555,6 +578,30 @@ def fd_hessian(fn: Callable[[np.ndarray], float], x0: np.ndarray, h: np.ndarray)
                 fn(x0 + ei + ej) - fn(x0 + ei - ej) - fn(x0 - ei + ej) + fn(x0 - ei - ej)
             ) / (4.0 * h[i] * h[j])
     return hess
+
+
+def fd_curvature(fn: Callable[[np.ndarray], float], x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two-stage finite-difference curvature of ``fn`` at its maximum ``x``.
+
+    A crude pass with steps ``0.05 (1 + |x_i|)`` sets the per-axis scales; a
+    second pass with steps of a tenth of those standard deviations refines.
+    Steps are capped at 0.5, so a flat direction cannot push a probe into a
+    penalty region, and floored at 1e-4.  Eigenvalues are floored at 1e-8
+    times the largest, so the curvature is usable on flat directions too.
+    Returns the floored negative Hessian and its inverse.
+    """
+    x = np.asarray(x, dtype=float)
+
+    def floored(h: np.ndarray) -> np.ndarray:
+        vals, vecs = np.linalg.eigh(-fd_hessian(fn, x, h))
+        top = float(np.max(vals))
+        if top <= 0.0:
+            return np.eye(x.size)
+        return (vecs * np.maximum(vals, 1e-8 * top)) @ vecs.T
+
+    curv = floored(np.minimum(0.05 * (1.0 + np.abs(x)), 0.5))
+    curv = floored(np.clip(0.1 * np.sqrt(np.diag(np.linalg.inv(curv))), 1e-4, 0.5))
+    return curv, np.linalg.inv(curv)
 
 
 #: iteration budget of :func:`maximize`
@@ -767,6 +814,12 @@ class ModelContext:
         return HYPER_TRANSFORMS[self.q]
 
     @property
+    def param_names(self) -> tuple[str, ...]:
+        """Reported parameters: fixed effects, hypers, and for q = 2 the
+        covariance reading ``rho`` of the off-diagonal."""
+        return self.beta_names + self.hyper_names + (("rho",) if self.q == 2 else ())
+
+    @property
     def latent_names(self) -> tuple[str, ...]:
         names = []
         for i, lab in enumerate(self.data.group_labels):
@@ -800,9 +853,8 @@ class ModelContext:
         if self.q == 0:
             return 0.0
         q_mat = theta.precision_matrix()
-        chol = np.linalg.cholesky(q_mat)
-        logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
         quad = float(np.einsum("nq,qr,nr->", b, q_mat, b))
+        logdet = theta.precision_logdet()
         return self.n_groups * (-0.5 * self.q * LOG_2PI + 0.5 * logdet) - 0.5 * quad
 
     def hyper_log_prior(self, theta: HyperPoint) -> float:
@@ -846,9 +898,7 @@ class ModelContext:
         const = self.hyper_log_prior(theta)
         if self.q:
             q_mat = theta.precision_matrix()
-            chol = np.linalg.cholesky(q_mat)
-            logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-            const += self.n_groups * (-0.5 * self.q * LOG_2PI + 0.5 * logdet)
+            const += self.n_groups * (-0.5 * self.q * LOG_2PI + 0.5 * theta.precision_logdet())
 
         def value(x: np.ndarray) -> float:
             b, beta = self.split(x)

@@ -34,9 +34,9 @@ import numpy as np
 from scipy.special import logsumexp
 
 from ._io import atomic_write
-from .distributions import DomainError, beta_logpdf_arrays
+from .distributions import DomainError
 from .laplace import FitResult, grid_log_evidence
-from .model import MU_EPS
+from .model import loglik_rows
 
 __all__ = [
     "CpoResult",
@@ -58,10 +58,8 @@ def _gauss_hermite(n: int = _GH_NODES) -> tuple[np.ndarray, np.ndarray]:
 def _rowwise_loglik(fit: FitResult, cond, phi: float, nodes, ctx) -> np.ndarray:
     """Per-row log likelihood at every Gauss-Hermite abscissa, (n, k)."""
     mean, var = cond.predictor_moments(ctx.X, ctx.Z, ctx.groups, ctx.n_groups, ctx.q)
-    sd = np.sqrt(var)
-    eta = mean[:, None] + np.sqrt(2.0) * sd[:, None] * nodes[None, :]
-    mu = np.clip(ctx.link.inv(eta), MU_EPS, 1.0 - MU_EPS)
-    return beta_logpdf_arrays(ctx.y[:, None], mu, phi)
+    eta = mean[:, None] + np.sqrt(2.0) * np.sqrt(var)[:, None] * nodes[None, :]
+    return loglik_rows(ctx.link, ctx.y[:, None], eta, phi)
 
 
 @dataclass(frozen=True)

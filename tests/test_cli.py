@@ -1,0 +1,84 @@
+"""Command-line contract: every subcommand returns 0 and writes a summary
+that validates against the shipped schema; bad input returns 1 with a
+one-line JSON error record on stderr."""
+
+import json
+from importlib.resources import files
+
+import jsonschema
+import pytest
+
+from betamix.cli import main
+
+SCHEMA = json.loads((files("betamix") / "schemas" / "summary.schema.json").read_text())
+
+
+def _validated(out_dir, command: str) -> dict:
+    summary = json.loads((out_dir / f"{command}_summary.json").read_text())
+    jsonschema.validate(summary, SCHEMA)
+    assert summary["command"] == command
+    return summary
+
+
+@pytest.fixture(scope="module")
+def study_csv(tmp_path_factory):
+    out = tmp_path_factory.mktemp("study")
+    assert main(["simulate", "--n-groups", "4", "--n-total", "60", "--out-dir", str(out)]) == 0
+    summary = _validated(out, "simulate")
+    assert summary["model"]["n_obs"] == 60 and summary["model"]["n_groups"] == 4
+    return out / summary["files"]["data"]
+
+
+@pytest.mark.parametrize(
+    "argv, command",
+    [
+        (["fit"], "fit"),
+        (["fit", "--engine", "ml"], "ml"),
+        (["ml"], "ml"),
+        (["mcmc"], "mcmc"),
+        (["compare"], "compare"),
+        (["sensitivity", "--param", "tau", "--targets", "0.1"], "sensitivity"),
+    ],
+    ids=["fit", "fit-ml", "ml", "mcmc", "compare", "sensitivity"],
+)
+def test_subcommand_writes_a_valid_summary(study_csv, tmp_path, argv, command):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(
+        {"engine": {"chains": 2, "iterations": 300, "burn_in": 100, "thin": 1}}
+    ))
+    out = tmp_path / "out"
+    code = main([*argv, "--data", str(study_csv), "--config", str(config), "--out-dir", str(out)])
+    assert code == 0
+    summary = _validated(out, command)
+    if command == "mcmc":
+        # site labels are the sampler's string keys, written as they are
+        assert {"('beta', 0)", "('theta',)"} <= set(summary["diagnostics"]["acceptance"])
+
+
+def test_elicit_writes_a_valid_summary(tmp_path):
+    assert main(["elicit", "--range", "0.693", "--out-dir", str(tmp_path)]) == 0
+    summary = _validated(tmp_path, "elicit")
+    assert summary["result"]["rate"] > 0.0
+
+
+def _error_record(capsys) -> dict:
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])["error"]
+
+
+def test_missing_data_file_is_a_json_error(tmp_path, capsys):
+    code = main(["fit", "--data", str(tmp_path / "absent.csv"), "--out-dir", str(tmp_path)])
+    assert code == 1
+    err = _error_record(capsys)
+    assert err["type"] == "DomainError" and "not found" in err["message"]
+
+
+def test_unknown_config_key_is_a_json_error(study_csv, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"engine": {"chainz": 2}}))
+    code = main(["fit", "--data", str(study_csv), "--config", str(config),
+                 "--out-dir", str(tmp_path)])
+    assert code == 1
+    err = _error_record(capsys)
+    assert err["type"] == "DomainError" and "chainz" in err["message"]

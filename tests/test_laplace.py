@@ -1,11 +1,13 @@
 """Nested-grid posterior engine: analytic oracles, stability, invariances."""
 
+import logging
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import integrate, optimize, stats
 
+from betamix import model
 from betamix.density import MarginalDensity
 from betamix.distributions import GammaShapeRate, gamma_logpdf
 from betamix.laplace import (
@@ -15,6 +17,7 @@ from betamix.laplace import (
     find_conditional_mode,
     fit_laplace,
     grid_log_evidence,
+    hyper_mode,
     marginal_hyper,
 )
 from betamix.model import Dataset, HyperPoint, ModelContext, ModelSpec
@@ -246,3 +249,32 @@ def test_interval_mass_is_nominal(default_fit):
 def test_unknown_parameter_raises(default_fit):
     with pytest.raises(KeyError):
         default_fit.marginal("beta_wealth")
+
+
+def test_group_effect_marginal_uses_the_fit_grid_points(default_fit):
+    name = next(n for n in default_fit.latent_names if n.startswith("b1_intercept["))
+    assert default_fit.marginal(name).x.size == default_fit.options.grid_points
+
+
+def _betamix_warnings(caplog) -> list[str]:
+    return [r.getMessage() for r in caplog.records
+            if r.name == "betamix" and r.levelno == logging.WARNING]
+
+
+def test_unconverged_hyper_mode_search_is_logged(monkeypatch, caplog):
+    study = simulate_study(seed=9, n_groups=6, n_total=90)
+    ctx = ModelContext(study.data, study.spec, default_priors(study.spec))
+    caplog.set_level(logging.WARNING, logger="betamix")
+    hyper_mode(ctx)
+    assert _betamix_warnings(caplog) == []
+    monkeypatch.setattr(model, "MAXIMIZE_ITER", 2)
+    hyper_mode(ctx)
+    (message,) = _betamix_warnings(caplog)
+    assert "did not converge" in message and "Maximum number of iterations" in message
+
+
+def test_default_fit_logs_no_warning(caplog):
+    study = simulate_study(seed=9, n_groups=6, n_total=90)
+    caplog.set_level(logging.WARNING, logger="betamix")
+    fit_laplace(study.data, study.spec, options=LaplaceOptions(compute_gof=False))
+    assert _betamix_warnings(caplog) == []
