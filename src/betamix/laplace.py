@@ -13,9 +13,10 @@ through ``model.TRANSFORMS``, whose derivative gives the Jacobian;
 :func:`grid_log_evidence` integrates the grid.  A hyper-mode search that
 ends unconverged logs a ``WARNING`` on the ``betamix`` logger.
 
-The model layer supplies that log posterior: for each hyperparameter point a
-Newton iteration (analytic gradient and block Hessian) finds the conditional
-mode of the latent field and the Laplace identity
+The model layer supplies that log posterior: for each hyperparameter point
+the core's damped Newton (``model.newton_ascent``, analytic gradient and
+block Hessian) finds the conditional mode of the latent field and the
+Laplace identity
 
     log pi(theta | y)  ~=  joint(x*, theta) + dim/2 log 2 pi - 1/2 logdet(-H)
 
@@ -39,16 +40,20 @@ from .density import MarginalDensity, kde_density
 from .distributions import LOG_2PI, DomainError
 from .model import (
     COORD_CAP,
+    NEWTON_TOL,
     TRANSFORMS,
     BlockCholesky,
     Dataset,
     HyperPoint,
+    ModeConvergenceError,
     ModelContext,
     ModelSpec,
     fd_curvature,
     maximize,
     moment_start,
     natural_scale,
+    newton_ascent,
+    out_of_support,
 )
 from .priors import PriorSpec, default_priors
 
@@ -59,7 +64,6 @@ __all__ = [
     "LaplaceOptions",
     "FitResult",
     "find_conditional_mode",
-    "log_posterior_theta",
     "hyper_mode",
     "explore_theta",
     "grid_log_evidence",
@@ -71,21 +75,8 @@ __all__ = [
 logger = logging.getLogger("betamix")
 
 MAX_HYPER_DIM = 4
-#: conditional-mode Newton: gradient max-norm tolerance, iteration budget
-#: and step halvings per line search
-NEWTON_TOL = 1e-8
-NEWTON_MAX_ITER = 100
-MAX_HALVINGS = 30
 #: grid steps per direction before an axis scan is truncated
 MAX_AXIS_STEPS = 40
-
-
-class ModeConvergenceError(RuntimeError):
-    """Newton failed; carries the iteration trace for diagnosis."""
-
-    def __init__(self, message: str, trace: list):
-        super().__init__(f"{message} (trace: {trace})")
-        self.trace = trace
 
 
 @dataclass
@@ -95,86 +86,51 @@ class ModeResult:
     x: np.ndarray
     chol: BlockCholesky  # factorization of -H (positive definite) at the mode
     logpost: float
-    n_iter: int
     grad_norm: float
+
+    def laplace(self) -> float:
+        """Laplace-approximated unnormalized log posterior of theta."""
+        return self.logpost + 0.5 * self.x.size * LOG_2PI - 0.5 * self.chol.logdet()
+
+
+_SPD, _NOT_SPD, _NO_VALUE = np.ones(1, dtype=bool), np.zeros(1, dtype=bool), np.array([-np.inf])
 
 
 def find_conditional_mode(ctx: ModelContext, theta: HyperPoint,
                           x0: np.ndarray | None = None) -> ModeResult:
     """Newton maximization of the joint over the latent field at fixed theta.
 
-    Stops when the max-norm of the gradient drops below ``NEWTON_TOL``.  When
-    the negative Hessian is not positive definite the step falls back to scaled
-    steepest ascent; each step is halved until the objective increases.  A
-    point where the Newton step promises a gain below the floating-point
-    resolution of the objective is accepted as converged, whatever the
-    gradient: no line search can improve on it.  So is a point where the
-    line search fails while the gradient is already tiny (below
-    ``stall_tol``).  Both are the floating-point floor of the objective,
-    reached before the strict tolerance where the curvature is large, as at
-    a tight random-effect precision.
+    One block of ``model.newton_ascent``, with the Newton step solved by the
+    block Cholesky factorization of the negative Hessian; the factorization
+    at the mode is kept for the Laplace identity.  A point where the joint
+    cannot be evaluated has value -inf.  Raises ``ModeConvergenceError``
+    when the search does not accept its end point as a mode.
     """
-    x = np.zeros(ctx.n_latent) if x0 is None else np.asarray(x0, dtype=float).copy()
-    stall_tol = 1e-4
     objective = ctx.conditional_objective(theta)
-    f = objective(x)
-    trace: list[tuple[int, float, float]] = []
+    chol = None
 
-    def finish(it: int, gnorm: float, hess) -> ModeResult:
+    def values(x):
+        try:
+            return np.array([objective(x[0])])
+        except (DomainError, FloatingPointError):
+            return _NO_VALUE
+
+    def newton(x):
+        nonlocal chol
+        grad, hess = ctx.grad_hessian(x[0], theta)
         try:
             chol = (-hess).cholesky()
-        except np.linalg.LinAlgError as exc:
-            raise ModeConvergenceError(
-                "negative Hessian not positive definite at the mode", trace
-            ) from exc
-        return ModeResult(x, chol, f, it, gnorm)
-
-    for it in range(NEWTON_MAX_ITER + 1):
-        grad, hess = ctx.grad_hessian(x, theta)
-        gnorm = float(np.max(np.abs(grad))) if grad.size else 0.0
-        trace.append((it, f, gnorm))
-        if gnorm < NEWTON_TOL:
-            return finish(it, gnorm, hess)
-        if it == NEWTON_MAX_ITER:
-            break
-        try:
-            step = (-hess).cholesky().solve(grad)
-            # quadratic-model gain; once it sinks below float resolution of
-            # f there is nothing left to gain from a line search
-            if 0.5 * float(grad @ step) < 1e-12 * (1.0 + abs(f)):
-                return finish(it, gnorm, hess)
         except np.linalg.LinAlgError:
-            step = grad / (1.0 + gnorm)  # steepest ascent, conservatively scaled
-        alpha = 1.0
-        for _ in range(MAX_HALVINGS + 1):
-            x_new = x + alpha * step
-            try:
-                f_new = objective(x_new)
-            except (DomainError, FloatingPointError):
-                f_new = -np.inf
-            if f_new > f:
-                x, f = x_new, f_new
-                break
-            alpha *= 0.5
-        else:
-            if gnorm < stall_tol:
-                return finish(it, gnorm, hess)
-            raise ModeConvergenceError(
-                "line search failed to improve the objective", trace
-            )
-    grad, hess = ctx.grad_hessian(x, theta)
-    gnorm = float(np.max(np.abs(grad))) if grad.size else 0.0
-    if gnorm < stall_tol:
-        return finish(NEWTON_MAX_ITER, gnorm, hess)
-    raise ModeConvergenceError(f"no convergence in {NEWTON_MAX_ITER} Newton iterations", trace)
+            return grad[None], grad[None], _NOT_SPD
+        # past the gradient test no step is taken, so none is solved for
+        done = np.abs(grad).max() < NEWTON_TOL
+        return grad[None], (grad if done else chol.solve(grad))[None], _SPD
 
-
-def log_posterior_theta(ctx: ModelContext, theta: HyperPoint,
-                        x0: np.ndarray | None = None) -> tuple[float, ModeResult]:
-    """Laplace-approximated unnormalized log posterior of theta."""
-    mode = find_conditional_mode(ctx, theta, x0=x0)
-    value = mode.logpost + 0.5 * ctx.n_latent * LOG_2PI - 0.5 * mode.chol.logdet()
-    return value, mode
+    x = np.zeros((1, ctx.n_latent)) if x0 is None else np.asarray(x0, dtype=float)[None]
+    asc = newton_ascent(values, newton, x)
+    if not asc.found[0]:
+        raise ModeConvergenceError(f"no conditional mode (|grad| = {asc.grad_norm[0]:.3g})")
+    return ModeResult(asc.x[0], chol, float(asc.value[0]), float(asc.grad_norm[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -483,29 +439,28 @@ class _ThetaObjective:
         self.n_eval += 1
         key = tuple(np.asarray(theta_arr, dtype=float))
         if key in self.modes:
-            mode = self.modes[key]
-            return mode.logpost + 0.5 * self.ctx.n_latent * LOG_2PI - 0.5 * mode.chol.logdet()
+            return self.modes[key].laplace()
         if np.max(np.abs(theta_arr)) > COORD_CAP:
-            return -1e10 * (1.0 + float(np.sum(np.abs(theta_arr))))
+            return out_of_support(theta_arr)
         theta = HyperPoint.from_array(theta_arr)
         try:
-            value, mode = log_posterior_theta(self.ctx, theta, x0=self.warm)
+            mode = find_conditional_mode(self.ctx, theta, x0=self.warm)
         except (ModeConvergenceError, np.linalg.LinAlgError, DomainError, OverflowError):
             # a stale warm start can strand Newton; retry from the origin
             try:
-                value, mode = log_posterior_theta(self.ctx, theta, x0=None)
+                mode = find_conditional_mode(self.ctx, theta, x0=None)
             except (ModeConvergenceError, np.linalg.LinAlgError, DomainError, OverflowError):
-                return -1e10 * (1.0 + float(np.sum(np.abs(theta_arr))))
+                return out_of_support(theta_arr)
         self.warm = mode.x
         self.modes[key] = mode
-        return value
+        return mode.laplace()
 
     def mode_at(self, theta_arr: np.ndarray) -> ModeResult:
         key = tuple(np.asarray(theta_arr, dtype=float))
         if key not in self.modes:
             self(theta_arr)
         if key not in self.modes:
-            raise ModeConvergenceError(f"no conditional mode at {theta_arr}", [])
+            raise ModeConvergenceError(f"no conditional mode at {theta_arr}")
         return self.modes[key]
 
 
@@ -565,11 +520,7 @@ def fit_laplace(
     for j, name in enumerate(ctx.hyper_names):
         marginals[name] = marginal_hyper(grid, j, grid_points=opts.grid_points)
     if ctx.q == 2:
-        # covariance reading of the off-diagonal: rho = c / (tau1 tau2)
-        tau1 = np.exp(grid.theta[:, 1])
-        tau2 = np.exp(grid.theta[:, 2])
-        corr = np.tanh(grid.theta[:, 3])
-        rho_vals = corr / np.sqrt(tau1 * tau2)
+        rho_vals = np.array([HyperPoint.from_array(t).natural()["rho"] for t in grid.theta])
         marginals["rho"] = kde_density(rho_vals, weights=grid.weights, name="rho")
     t_marg = time.perf_counter()
 

@@ -5,12 +5,13 @@ integrated out of the likelihood rather than sampled or gridded.  For a
 model without random effects the marginal likelihood is a plain product of
 beta densities; with random effects each group contributes a q dimensional
 integral that is approximated by Laplace's method around the group's own
-conditional mode (Rue, Martino & Chopin 2009).  The modes are found by one
-batched Newton over all groups, with the N q x q curvature blocks solved in
-closed form, warm started between evaluations because the optimizer visits
-nearby parameter values.  The design, link derivatives, row likelihood,
-hyper names, log det Q, coordinate cap, start point and outer search come
-from the model core.
+conditional mode (Rue, Martino & Chopin 2009).  The modes come from the
+core's damped Newton (``model.newton_ascent``, as for the Laplace joint
+mode) with all groups as blocks and their q x q systems solved in closed
+form, warm started between evaluations because the optimizer visits nearby
+parameter values.  The design, link derivatives, row likelihood, hyper
+names, log det Q, coordinate cap, value outside the support, start point
+and outer search come from the model core.
 
 ``ml_fit`` maximizes the marginal log likelihood over the unconstrained
 vector (fixed effects, log phi, log tau, and atanh rho when present) by BFGS
@@ -44,6 +45,7 @@ from .model import (
     TRANSFORMS,
     Dataset,
     HyperPoint,
+    ModeConvergenceError,
     ModelContext,
     ModelSpec,
     eta_derivs,
@@ -53,6 +55,8 @@ from .model import (
     maximize,
     moment_start,
     natural_scale,
+    newton_ascent,
+    out_of_support,
 )
 from .priors import default_priors
 
@@ -65,7 +69,6 @@ __all__ = [
     "profile_interval",
 ]
 
-_PENALTY = -1.0e10
 #: profile probes: the first step as a fraction of the scale, and the budget
 _PROBE_FRAC = 0.2
 _MAX_PROBES = 80
@@ -92,69 +95,35 @@ class _MarginalLoglik:
     def _group_integrals(self, eta0: np.ndarray, hp: HyperPoint) -> float:
         """Sum over groups of the Laplace-integrated group likelihoods.
 
-        One Newton search runs over all groups at once: each iteration
-        evaluates every row in one pass and solves the N q x q systems in
-        closed form; each group halves its own step until its value rises.
-        Raises ``DomainError`` when any group ends away from a proper mode.
+        The group modes come from one ``model.newton_ascent`` over all N
+        groups: each iteration evaluates every row in one pass and solves the
+        N q x q systems in closed form.  Raises ``ModeConvergenceError`` when
+        any group ends away from a mode.
         """
         Z, starts, groups, y = self.ctx.Z, self.ctx.group_starts, self.ctx.groups, self.ctx.y
         q_mat, phi = hp.precision_matrix(), hp.phi
-        b = self._warm.copy()
+        det = None
 
-        def values(bvec):
-            eta = eta0 + (Z * bvec[groups]).sum(axis=1)
+        def values(b):
+            eta = eta0 + (Z * b[groups]).sum(axis=1)
             rows = loglik_rows(self.link, y, eta, phi)
-            return np.add.reduceat(rows, starts) - 0.5 * ((bvec @ q_mat) * bvec).sum(axis=1)
+            return np.add.reduceat(rows, starts) - 0.5 * ((b @ q_mat) * b).sum(axis=1)
 
-        def grad_curv(bvec):
-            """Gradient (N, q) and negative Hessian blocks (N, q, q)."""
-            eta = eta0 + (Z * bvec[groups]).sum(axis=1)
+        def newton(b):
+            nonlocal det
+            eta = eta0 + (Z * b[groups]).sum(axis=1)
             s, w = eta_derivs(self.link, y, eta, phi)
             zs, zwz = group_sums(Z, starts, s, w)
-            return zs - bvec @ q_mat, q_mat - zwz
-
-        f = values(b)
-        for _ in range(100):
-            grad, curv = grad_curv(b)
+            grad, curv = zs - b @ q_mat, q_mat - zwz
             det = _block_det(curv)
             spd = (curv[:, 0, 0] > 0.0) & (det > 0.0)
-            gnorm = np.abs(grad).max(axis=1)
-            # Newton where the block is positive definite, scaled steepest
-            # ascent elsewhere
-            step = np.where(spd[:, None], _block_solve(curv, grad, np.where(spd, det, 1.0)),
-                            grad / (1.0 + gnorm[:, None]))
-            scale = 1.0 + np.abs(f)
-            conv = gnorm < 1.0e-8 * scale
-            # improvement below the floating floor of the value means the
-            # mode is found as precisely as the arithmetic allows
-            conv |= 0.5 * (grad * step).sum(axis=1) < 1.0e-13 * scale
-            if conv.all():
-                break
-            active = ~conv
-            step[conv] = 0.0
-            progressed = False
-            for _ in range(30):
-                cand = b + step
-                f_cand = values(cand)
-                improve = (f_cand > f) & active
-                if improve.any():
-                    b[improve] = cand[improve]
-                    f[improve] = f_cand[improve]
-                    progressed = True
-                active &= ~improve
-                if not active.any():
-                    break
-                step[~active] = 0.0
-                step[active] *= 0.5
-            if not progressed:
-                break
+            return grad, _block_solve(curv, grad, np.where(spd, det, 1.0)), spd
 
-        grad, curv = grad_curv(b)
-        det = _block_det(curv)
-        if not np.all((np.abs(grad).max(axis=1) <= 1.0e-3) & (curv[:, 0, 0] > 0.0) & (det > 0.0)):
-            raise DomainError("a group mode search did not converge")
-        self._warm = b
-        return float(np.sum(f) + b.shape[0] * (0.5 * hp.precision_logdet())
+        asc = newton_ascent(values, newton, self._warm)
+        if not asc.found.all():
+            raise ModeConvergenceError(f"{np.count_nonzero(~asc.found)} group modes not found")
+        self._warm = asc.x
+        return float(np.sum(asc.value) + asc.x.shape[0] * (0.5 * hp.precision_logdet())
                      - 0.5 * np.sum(np.log(det)))
 
     def __call__(self, v: np.ndarray) -> float:
@@ -163,16 +132,15 @@ class _MarginalLoglik:
         if v.shape != (self.dim,):
             raise DomainError(f"expected a vector of length {self.dim}")
         if not np.all(np.isfinite(v)) or float(np.max(np.abs(v))) > COORD_CAP:
-            finite = v[np.isfinite(v)]
-            return _PENALTY * (1.0 + float(np.sum(np.abs(finite))))
+            return out_of_support(v)
         hp = HyperPoint.from_array(v[self.p :])
         eta0 = self.ctx.X @ v[: self.p]
         if self.q == 0:
             return float(np.sum(loglik_rows(self.link, self.ctx.y, eta0, hp.phi)))
         try:
             return self._group_integrals(eta0, hp)
-        except DomainError:
-            return _PENALTY * (1.0 + float(np.sum(np.abs(v))))
+        except (ModeConvergenceError, DomainError):
+            return out_of_support(v)
 
 
 def _block_det(m: np.ndarray) -> np.ndarray:
@@ -413,7 +381,7 @@ def profile_interval(fit: MLFit, param: str | int, level: float = 0.95) -> Profi
     def profiled(u: float) -> float:
         nonlocal warm
         best = maximize(lambda w: lik(np.insert(w, j, u)), warm, inv_curv=inv_curv)
-        if best.value > 0.5 * _PENALTY:
+        if best.value > 0.5 * out_of_support(()):
             warm = best.x
         return best.value
 

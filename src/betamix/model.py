@@ -37,9 +37,11 @@ Every decision the three engines share lives here once: the row likelihood
 and its link derivatives (``loglik_rows``, ``eta_derivs``), the
 unconstrained-to-natural transforms with their derivatives (``TRANSFORMS``),
 log det Q (:meth:`HyperPoint.precision_logdet`), the coordinate cap
-``COORD_CAP``, the moment start point, the outer search (``maximize``) and
-the two-stage finite-difference curvature at its optimum
-(``fd_curvature``).
+``COORD_CAP`` and the value outside the support (``out_of_support``), the
+moment start point, the outer search (``maximize``), the two-stage
+finite-difference curvature at its optimum (``fd_curvature``) and the damped
+Newton search for conditional modes (``newton_ascent``), with its one
+acceptance rule and one failure, ``ModeConvergenceError``.
 """
 
 from __future__ import annotations
@@ -503,6 +505,13 @@ TRANSFORMS: dict[str, tuple[Callable, Callable]] = {
 COORD_CAP = 50.0
 
 
+def out_of_support(v) -> float:
+    """-1e10 (1 + sum |finite v|): the value of a point beyond ``COORD_CAP``,
+    non-finite or without a conditional mode, falling away from the origin."""
+    v = np.asarray(v, dtype=float)
+    return -1e10 * (1.0 + float(np.sum(np.abs(v[np.isfinite(v)]))))
+
+
 def natural_scale(vals, transform: str) -> np.ndarray:
     """Map unconstrained coordinates to the natural scale by name of transform."""
     if transform not in TRANSFORMS:
@@ -646,6 +655,77 @@ def maximize(fn: Callable[[np.ndarray], float], x0: np.ndarray,
                     and 0.5 * float(res.jac @ res.hess_inv @ res.jac) < 1.0e-6)
     return Maximum(np.asarray(res.x, dtype=float), -float(res.fun),
                    bool(res.success or stalled_flat), str(res.message))
+
+
+#: :func:`newton_ascent`: gradient max-norm tolerance, iteration budget, step
+#: halvings per line search, gradient max-norm that still makes a stall a mode
+NEWTON_TOL = 1e-8
+NEWTON_MAX_ITER = 100
+MAX_HALVINGS = 30
+STALL_TOL = 1e-4
+
+
+class ModeConvergenceError(RuntimeError):
+    """A conditional-mode search ended away from a mode."""
+
+
+class Ascent(NamedTuple):
+    """Result of :func:`newton_ascent`, one row or entry per block."""
+
+    x: np.ndarray  # (B, d) end points
+    value: np.ndarray  # (B,) objective values there
+    grad_norm: np.ndarray  # (B,) gradient max-norms there
+    done: np.ndarray  # (B,) stopping rule met
+    found: np.ndarray  # (B,) accepted as a mode
+
+
+def newton_ascent(values: Callable[[np.ndarray], np.ndarray],
+                  newton: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]],
+                  x: np.ndarray) -> Ascent:
+    """Damped Newton ascent on B independent blocks, the rows of ``x``.
+
+    ``values(x)`` returns the B objective values; ``newton(x)`` returns the
+    gradients and Newton steps (B x d) and a mask of the blocks whose negative
+    Hessian is positive definite; elsewhere the step is steepest ascent scaled
+    by ``1 / (1 + |grad|)``.  Each block halves its own step, at most
+    ``MAX_HALVINGS`` times, until its value rises; one whose step cannot raise
+    it stalls while the others carry on.  A block is done when its gradient
+    max-norm is below ``NEWTON_TOL`` (its step is then never used) or its
+    positive-definite Newton step promises a gain below ``1e-12 (1 + |f|)``,
+    the resolution of the value, which comes first where the curvature is
+    large.  It is ``found`` (a mode) when done or its gradient max-norm is
+    below ``STALL_TOL``, with a positive-definite negative Hessian.  The last
+    ``newton`` call is at the returned points; callers reuse what it factorized.
+    """
+    # count_nonzero tests a small mask several times faster than any()/all()
+    x = np.array(x, dtype=float)
+    f = values(x)
+    stalled = np.zeros(x.shape[0], dtype=bool)
+    for it in range(NEWTON_MAX_ITER + 1):
+        grad, step, spd = newton(x)
+        gnorm = np.abs(grad).max(axis=1)
+        if np.count_nonzero(spd) < spd.size:
+            step = np.where(spd[:, None], step, grad / (1.0 + gnorm[:, None]))
+        gain = 0.5 * (grad * step).sum(axis=1)
+        done = (gnorm < NEWTON_TOL) | (spd & (gain < 1e-12 * (1.0 + np.abs(f))))
+        active = ~(done | stalled)
+        if it == NEWTON_MAX_ITER or not np.count_nonzero(active):
+            break
+        alpha = 1.0
+        for _ in range(MAX_HALVINGS + 1):
+            x_new = x + alpha * step
+            f_new = values(x_new)
+            up = active & (f_new > f)
+            if np.count_nonzero(up):
+                x = np.where(up[:, None], x_new, x)
+                f = np.where(up, f_new, f)
+                active &= ~up
+                if not np.count_nonzero(active):
+                    break
+            alpha *= 0.5
+        stalled |= active
+    found = spd & (done | (gnorm < STALL_TOL))
+    return Ascent(x, f, gnorm, done, found)
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,16 @@ def test_ml_fit_converges_on_default_study(default_ml):
     assert default_ml.n_eval < 2000
 
 
+def test_ml_fit_q2_boundary_converges():
+    """Here the likelihood peaks at the boundary rho_corr -> 1, where Q and
+    with it every group's curvature grow without bound: the group modes
+    there are found to the resolution of their values before their
+    gradients fall below a fixed 1e-3, and must still be accepted."""
+    study = simulate_study(seed=0, random="intercept+slope")
+    fit = ml_fit(study.data, study.spec)
+    assert fit.converged, fit.message
+
+
 # -- integrated likelihood oracle ------------------------------------------------
 
 

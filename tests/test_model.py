@@ -16,6 +16,7 @@ from betamix.model import (
     ModelSpec,
     build_design,
     maximize,
+    newton_ascent,
 )
 from betamix.likelihood import ml_fit
 from betamix.priors import default_priors
@@ -352,3 +353,37 @@ def test_ml_fit_does_not_stop_short():
     fit = ml_fit(study.data, study.spec)
     assert fit.converged, fit.message
     assert fit.loglik >= 562.7415
+
+
+# -- the conditional-mode search -----------------------------------------------
+
+
+def test_newton_ascent_runs_blocks_independently():
+    """Three separable 1-d blocks: -(x^2 - 1)^2 from 0.1, where the negative
+    Hessian is not positive definite; -(x - 2)^2 from its maximum; and a
+    block whose value never rises although its gradient says it should."""
+    calls = []
+
+    def values(x):
+        a, b = x[0, 0], x[1, 0]
+        return np.array([-(a * a - 1.0) ** 2, -(b - 2.0) ** 2, 0.0])
+
+    def newton(x):
+        calls.append(x.copy())
+        a, b = x[0, 0], x[1, 0]
+        grad = np.array([[-4.0 * a * (a * a - 1.0)], [-2.0 * (b - 2.0)], [1.0]])
+        neg_hess = np.array([12.0 * a * a - 4.0, 2.0, 1.0])
+        spd = neg_hess > 0.0
+        return grad, grad / np.where(spd, neg_hess, 1.0)[:, None], spd
+
+    asc = newton_ascent(values, newton, np.array([[0.1], [2.0], [0.0]]))
+    assert asc.x[0, 0] == pytest.approx(1.0, abs=1e-8)
+    assert asc.x[1, 0] == 2.0
+    assert asc.x[2, 0] == 0.0
+    assert asc.done.tolist() == [True, True, False]
+    assert asc.found.tolist() == [True, True, False]
+    # the third block stalls in the first line search; the first needs
+    # steepest-ascent steps before Newton takes over, and carries on
+    assert len(calls) > 4
+    np.testing.assert_array_equal(calls[-1], asc.x)
+    np.testing.assert_allclose(asc.value, values(asc.x))
