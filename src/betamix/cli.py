@@ -193,7 +193,7 @@ def _cmd_ml(config: AnalysisConfig, args, out_dir: Path) -> dict:
     fit = ml_fit(data, spec)
     t_fit = time.perf_counter()
     use_profile = bool(getattr(args, "profile", False))
-    level = float(getattr(args, "level", 0.95) or 0.95)
+    level = float(getattr(args, "level", 0.95))
     params: dict[str, dict[str, float]] = {}
     for name in fit.names:
         est = fit.estimate(name)

@@ -229,6 +229,8 @@ class MLFit:
 
     def wald_interval(self, param: str | int, level: float = 0.95) -> tuple[float, float]:
         """Normal-theory interval on the unconstrained scale, transformed back."""
+        if not 0.0 < level < 1.0:
+            raise DomainError("level must lie strictly in (0, 1)")
         j = self.index(param)
         z = float(norm.ppf(0.5 * (1.0 + level)))
         lo = self.vector[j] - z * self.se_unconstrained[j]

@@ -39,12 +39,17 @@ mixing along the ridge improves by orders of magnitude.
 
 The chain state keeps the linear predictor and per-group likelihood sums
 incrementally, which makes a sweep cost a handful of vector operations
-rather than a full model evaluation per site.
+rather than a full model evaluation per site.  A fixed-effect, hyper or
+recentering move is staged as its log ratio and the cached fields it would
+replace; a commit assigns them, deriving the group likelihood sums from new
+row terms only then.  The group pass commits under its acceptance mask.
 
-``likelihood_scale`` tempers the likelihood contribution: 1 is the posterior
-and 0 drops the data entirely, in which case the sampler must reproduce the
-prior (a standard end-to-end correctness check; it requires proper priors on
-the fixed effects).
+``likelihood_scale`` (lambda) tempers the likelihood: every log ratio is the
+prior change plus lambda times the likelihood change.  1 is the posterior
+and 0 drops the data entirely (the per-row terms are then zeros, so the
+likelihood change is exactly zero), in which case the sampler must
+reproduce the prior (a standard end-to-end correctness check; it requires
+proper priors on the fixed effects).
 
 Reproducibility: one integer seed drives every chain through spawned
 ``numpy.random.SeedSequence`` children, so results are identical run to run
@@ -109,6 +114,8 @@ class McmcConfig:
             raise DomainError("burn-in must be shorter than the run")
         if self.thin < 1:
             raise DomainError("thin must be >= 1")
+        if self.n_stored < 1:
+            raise DomainError("the run stores no draw: need iterations - burn_in >= thin")
         if not 0.0 <= self.likelihood_scale <= 1.0:
             raise DomainError("likelihood_scale must lie in [0, 1]")
 
@@ -184,6 +191,9 @@ def sample_metropolis(
     of shape (N, q), and return the N log ratios) and
     ``commit_groups(accepted)`` (apply the staged moves where the boolean
     mask is true).  ``param_vector() -> ndarray`` gives the recorded state.
+    The model target stages a move as the cached fields it would replace and
+    a commit assigns them; each log ratio is the prior change plus
+    ``likelihood_scale`` times the likelihood change.
     Each sweep draws one normal per site coordinate and one uniform per
     site, in site order.  Returns the stored draws (one row per ``thin``
     post-burn-in sweeps, ``(iterations - burn_in) // thin`` in total) and
@@ -264,20 +274,20 @@ class _BetaModelTarget:
 
     Caches the linear predictor, per-row log likelihood terms, per-group
     likelihood sums, the random-effect prior quadratic forms and the
-    hyperprior value; each site move touches only what it invalidates.
+    hyperprior value.  A scalar or hyper move is staged as the dict of
+    cached fields it would replace; committing it assigns them.
     """
 
     def __init__(self, ctx: ModelContext, theta0: np.ndarray, x0: np.ndarray,
                  likelihood_scale: float, recenter_pairs: list[tuple[int, int]]):
-        self.ctx = ctx
-        self.lam = float(likelihood_scale)
-        if self.lam == 0.0 and np.any(ctx.beta_prior_prec <= 0.0):
+        if likelihood_scale == 0.0 and np.any(ctx.beta_prior_prec <= 0.0):
             raise DomainError(
                 "prior sampling (likelihood_scale = 0) requires proper priors "
                 "on every fixed effect; set intercept_precision > 0"
             )
+        self.ctx = ctx
+        self.lam = float(likelihood_scale)
         self.x_b, self.x_beta = (a.copy() for a in ctx.split(np.asarray(x0, dtype=float)))
-        self.theta = np.asarray(theta0, dtype=float).copy()
         self.ylog = np.log(ctx.y)
         self.y1mlog = np.log1p(-ctx.y)
         self.ylog_both = self.ylog + self.y1mlog
@@ -285,37 +295,36 @@ class _BetaModelTarget:
         self.starts = ctx.group_starts
         self.eta = ctx.eta(np.asarray(x0, dtype=float))
         self._staged: tuple | None = None
-        self._rebuild_theta_caches()
-        self._rebuild_lik_caches()
-        self.beta_lp = ctx.beta_log_prior(self.x_beta)
+        fields = self._theta_fields(np.asarray(theta0, dtype=float).copy())
+        fields["row_terms"] = self._terms(self.eta, fields["phi"])
+        self._assign(fields)
         self.recenter_fixed = dict(recenter_pairs)  # random column -> fixed column
 
     # -- cache plumbing ------------------------------------------------------
 
-    def _rebuild_theta_caches(self) -> None:
-        hp = HyperPoint.from_array(self.theta)
-        self.phi = hp.phi
-        self.hyper_lp = self.ctx.hyper_log_prior(hp)
-        if self.ctx.q:
-            self.q_mat = hp.precision_matrix()
-            self.q_logdet = hp.precision_logdet()
-            self.prior_quad = 0.5 * np.einsum("nq,qr,nr->n", self.x_b, self.q_mat, self.x_b)
-        else:
-            self.q_mat = None
-            self.q_logdet = 0.0
-            self.prior_quad = np.zeros(0)
-
-    def _rebuild_lik_caches(self) -> None:
-        if self.lam > 0.0:
-            self.row_terms = self._terms(self.eta, self.phi)
+    def _assign(self, fields: dict) -> None:
+        """Set cached fields; new row terms also reset the group and total sums."""
+        for name, value in fields.items():
+            setattr(self, name, value)
+        if "row_terms" in fields:
             self.group_lik = np.add.reduceat(self.row_terms, self.starts)
-            self.lik_total = float(np.sum(self.group_lik))
-        else:
-            self.row_terms = np.zeros(self.ctx.n)
-            self.group_lik = np.zeros(self.ctx.n_groups)
-            self.lik_total = 0.0
+            self.lik_total = float(self.group_lik.sum())
+
+    def _theta_fields(self, theta: np.ndarray) -> dict:
+        """Every cached field that depends on the hyperparameters alone."""
+        hp = HyperPoint.from_array(theta)
+        fields = {"theta": theta, "phi": hp.phi, "hyper_lp": self.ctx.hyper_log_prior(hp),
+                  "q_mat": None, "q_logdet": 0.0, "prior_quad": np.zeros(0)}
+        if self.ctx.q:
+            q_mat = hp.precision_matrix()
+            fields.update(q_mat=q_mat, q_logdet=hp.precision_logdet(),
+                          prior_quad=0.5 * np.einsum("nq,qr,nr->n", self.x_b, q_mat, self.x_b))
+        return fields
 
     def _terms(self, eta: np.ndarray, phi: float) -> np.ndarray:
+        """Per-row log likelihood terms; zeros when the likelihood is off."""
+        if self.lam == 0.0:
+            return np.zeros(eta.shape)
         mu = np.minimum(np.maximum(self._linkinv(eta), MU_EPS), 1.0 - MU_EPS)
         a = mu * phi
         b = phi - a
@@ -327,50 +336,22 @@ class _BetaModelTarget:
     def log_ratio(self, key: tuple, delta: np.ndarray) -> float:
         kind = key[0]
         if kind == "beta":
-            return self._stage_beta(key[1], float(delta[0]))
-        if kind == "theta":
-            return self._stage_theta(delta)
-        if kind == "recenter":
-            return self._stage_recenter(key[1], float(delta[0]))
-        raise KeyError(f"unknown site {key!r}")
+            logr, fields = self._stage_beta(key[1], float(delta[0]))
+        elif kind == "theta":
+            logr, fields = self._stage_theta(delta)
+        elif kind == "recenter":
+            logr, fields = self._stage_recenter(key[1], float(delta[0]))
+        else:
+            raise KeyError(f"unknown site {key!r}")
+        self._staged = (key, fields)
+        return logr
 
     def commit(self, key: tuple) -> None:
         staged = self._staged
         if staged is None or staged[0] != key:
             raise RuntimeError(f"no staged move for site {key!r}")
         self._staged = None
-        if key[0] == "beta":
-            _, _, k, new_bk, eta_new, terms = staged
-            self.x_beta[k] = new_bk
-            if self.lam > 0.0:
-                self.eta = eta_new
-                self.row_terms = terms
-                self.group_lik = np.add.reduceat(terms, self.starts)
-                self.lik_total = float(np.sum(self.group_lik))
-            else:
-                self.eta = eta_new
-            self.beta_lp = self.ctx.beta_log_prior(self.x_beta)
-        elif key[0] == "recenter":
-            _, _, k, a, new_bk, b_col, quad_new = staged
-            self.x_beta[k] = new_bk
-            self.x_b[:, a] = b_col
-            self.prior_quad = quad_new
-            self.beta_lp = self.ctx.beta_log_prior(self.x_beta)
-        elif key[0] == "theta":
-            (_, _, theta_new, terms, q_mat, q_logdet, prior_quad, hyper_lp) = staged
-            self.theta = theta_new
-            self.phi = float(np.exp(theta_new[0]))
-            self.hyper_lp = hyper_lp
-            if self.ctx.q:
-                self.q_mat = q_mat
-                self.q_logdet = q_logdet
-                self.prior_quad = prior_quad
-            if self.lam > 0.0:
-                self.row_terms = terms
-                self.group_lik = np.add.reduceat(terms, self.starts)
-                self.lik_total = float(np.sum(self.group_lik))
-        else:
-            raise KeyError(f"unknown site {key!r}")
+        self._assign(staged[1])
 
     def stage_groups(self, delta: np.ndarray) -> np.ndarray:
         """Stage a move of every group's effect vector by its row of ``delta``
@@ -383,11 +364,9 @@ class _BetaModelTarget:
         quad = 0.5 * np.einsum("nq,qr,nr->n", b_new, self.q_mat, b_new)
         logr = self.prior_quad - quad
         eta = self.eta + np.sum(self.ctx.Z * delta[self.ctx.groups], axis=1)
-        terms = lik = None
-        if self.lam > 0.0:
-            terms = self._terms(eta, self.phi)
-            lik = np.add.reduceat(terms, self.starts)
-            logr += self.lam * (lik - self.group_lik)
+        terms = self._terms(eta, self.phi)
+        lik = np.add.reduceat(terms, self.starts)
+        logr += self.lam * (lik - self.group_lik)
         self._staged = (("groups",), b_new, quad, eta, terms, lik)
         return logr
 
@@ -402,69 +381,55 @@ class _BetaModelTarget:
         self.prior_quad[accepted] = quad[accepted]
         rows = accepted[self.ctx.groups]
         self.eta[rows] = eta[rows]
-        if self.lam > 0.0:
-            self.row_terms[rows] = terms[rows]
-            # add the accepted groups' changes in index order, the same
-            # sequence of roundings a group-by-group sweep makes
-            change = lik[accepted] - self.group_lik[accepted]
-            self.lik_total = float(np.add.accumulate(np.append(self.lik_total, change))[-1])
-            self.group_lik[accepted] = lik[accepted]
+        self.row_terms[rows] = terms[rows]
+        # add the accepted groups' changes in index order, the same
+        # sequence of roundings a group-by-group sweep makes
+        change = lik[accepted] - self.group_lik[accepted]
+        self.lik_total = float(np.add.accumulate(np.append(self.lik_total, change))[-1])
+        self.group_lik[accepted] = lik[accepted]
 
-    # -- staging ---------------------------------------------------------------
+    # -- staging: each returns (log ratio, the fields the move replaces) -------
 
-    def _stage_beta(self, k: int, d: float) -> float:
-        new_bk = self.x_beta[k] + d
+    def _moved_beta(self, k: int, d: float) -> tuple[float, np.ndarray]:
+        """Fixed effect k moved by d: its prior log ratio and the new vector."""
+        x_beta = self.x_beta.copy()
+        x_beta[k] += d
         prec = self.ctx.beta_prior_prec[k]
-        dlp = -0.5 * prec * (new_bk * new_bk - self.x_beta[k] * self.x_beta[k])
-        eta_new = self.eta + d * self.ctx.X[:, k]
-        terms = None
-        if self.lam > 0.0:
-            terms = self._terms(eta_new, self.phi)
-            dlp += self.lam * (float(np.sum(terms)) - self.lik_total)
-        self._staged = (("beta", k), "beta", k, new_bk, eta_new, terms)
-        return float(dlp)
+        return -0.5 * prec * (x_beta[k] * x_beta[k] - self.x_beta[k] * self.x_beta[k]), x_beta
 
-    def _stage_recenter(self, a: int, d: float) -> float:
+    def _stage_beta(self, k: int, d: float) -> tuple[float, dict]:
+        dlp, x_beta = self._moved_beta(k, d)
+        eta = self.eta + d * self.ctx.X[:, k]
+        terms = self._terms(eta, self.phi)
+        dlp += self.lam * (float(terms.sum()) - self.lik_total)
+        return float(dlp), {"x_beta": x_beta, "eta": eta, "row_terms": terms}
+
+    def _stage_recenter(self, a: int, d: float) -> tuple[float, dict]:
         """Exchange d between fixed effect k and random column a.
 
         The two columns are elementwise equal, so eta and every likelihood
         cache stay exactly as they are; only the two priors move.
         """
-        k = self.recenter_fixed[a]
-        new_bk = self.x_beta[k] + d
-        prec = self.ctx.beta_prior_prec[k]
-        dlp = -0.5 * prec * (new_bk * new_bk - self.x_beta[k] * self.x_beta[k])
-        b_col = self.x_b[:, a] - d
+        dlp, x_beta = self._moved_beta(self.recenter_fixed[a], d)
+        x_b = self.x_b.copy()
+        x_b[:, a] -= d
         # quad(b - d e_a) = quad(b) - d (Q b)_a + d^2 Q_aa / 2 per group.
         qb_a = self.x_b @ self.q_mat[a]
-        quad_new = self.prior_quad - d * qb_a + 0.5 * d * d * self.q_mat[a, a]
-        dlp += float(np.sum(self.prior_quad) - np.sum(quad_new))
-        self._staged = (("recenter", a), "recenter", k, a, new_bk, b_col, quad_new)
-        return float(dlp)
+        quad = self.prior_quad - d * qb_a + 0.5 * d * d * self.q_mat[a, a]
+        dlp += float(self.prior_quad.sum() - quad.sum())
+        return float(dlp), {"x_beta": x_beta, "x_b": x_b, "prior_quad": quad}
 
-    def _stage_theta(self, delta: np.ndarray) -> float:
-        theta_new = self.theta + delta
-        if np.max(np.abs(theta_new)) > COORD_CAP:
-            self._staged = (("theta",), "theta", theta_new, None, None, 0.0, None, -np.inf)
-            return -np.inf
-        hp = HyperPoint.from_array(theta_new)
-        hyper_lp = self.ctx.hyper_log_prior(hp)
-        dlp = hyper_lp - self.hyper_lp
-        q_mat = q_logdet = prior_quad = None
-        if self.ctx.q:
-            q_mat = hp.precision_matrix()
-            q_logdet = hp.precision_logdet()
-            prior_quad = 0.5 * np.einsum("nq,qr,nr->n", self.x_b, q_mat, self.x_b)
-            dlp += 0.5 * self.ctx.n_groups * (q_logdet - self.q_logdet)
-            dlp += float(np.sum(self.prior_quad) - np.sum(prior_quad))
-        terms = None
-        if self.lam > 0.0:
-            terms = self._terms(self.eta, hp.phi)
-            dlp += self.lam * (float(np.sum(terms)) - self.lik_total)
-        self._staged = (
-            ("theta",), "theta", theta_new, terms, q_mat, q_logdet, prior_quad, hyper_lp
-        )
-        return float(dlp)
+    def _stage_theta(self, delta: np.ndarray) -> tuple[float, dict]:
+        theta = self.theta + delta
+        if np.max(np.abs(theta)) > COORD_CAP:
+            return -np.inf, {}
+        fields = self._theta_fields(theta)
+        dlp = fields["hyper_lp"] - self.hyper_lp
+        dlp += 0.5 * self.ctx.n_groups * (fields["q_logdet"] - self.q_logdet)
+        dlp += float(self.prior_quad.sum() - fields["prior_quad"].sum())
+        fields["row_terms"] = self._terms(self.eta, fields["phi"])
+        dlp += self.lam * (float(fields["row_terms"].sum()) - self.lik_total)
+        return float(dlp), fields
 
     # -- reporting ---------------------------------------------------------------
 
@@ -684,11 +649,7 @@ def run_mcmc(
                     break
 
     all_draws = np.empty((config.n_chains, config.n_stored, len(names)))
-    site_keys: list[tuple] = [("beta", k) for k in range(ctx.p)]
-    site_keys += [("b", i) for i in range(ctx.n_groups)] if ctx.q else []
-    site_keys += [("theta",)]
-    site_keys += [("recenter", a) for a, _ in recenter_pairs]
-    acc = {str(k): np.zeros(config.n_chains) for k in site_keys}
+    acc: dict[str, np.ndarray] = {}  # filled in the sampler's site order
 
     t_start = time.perf_counter()
     for c in range(config.n_chains):
@@ -719,7 +680,7 @@ def run_mcmc(
         )
         all_draws[c] = draws
         for k, r in rates.items():
-            acc[str(k)][c] = r
+            acc.setdefault(str(k), np.zeros(config.n_chains))[c] = r
         group_rates = [r for k, r in rates.items() if k[0] == "b"]
         logger.info(
             "mcmc chain %d of %d: %d sweeps in %.2f s, mean group acceptance %s",

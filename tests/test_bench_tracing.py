@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from betamix import laplace, likelihood
+from betamix import laplace, likelihood, mcmc
 from betamix.simulate import simulate_study
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -56,3 +56,18 @@ def test_tracer_installs_and_counts_every_engine_layer(tracing):
     assert layers["laplace.optimizer_runs"] >= 1
     assert layers["laplace.optimizer_evals"] > 0
     assert layers["likelihood.optimizer_runs"] >= 1
+
+
+def test_tracer_counts_every_scalar_and_hyper_site(tracing):
+    study = simulate_study(seed=3, n_groups=4, n_total=60)
+    original = {verb: mcmc._BetaModelTarget.__dict__[verb] for verb in ("log_ratio", "commit")}
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        mcmc.run_mcmc(study.data, study.spec,
+                      config=mcmc.McmcConfig(n_chains=1, iterations=40, burn_in=20, thin=1))
+
+    for verb, fn in original.items():
+        assert mcmc._BetaModelTarget.__dict__[verb] is fn, verb
+    layers = tracing.layer_metrics(tracer, rounds=1)
+    for kind in ("beta", "theta", "recenter"):
+        assert layers[f"mcmc.site_updates.{kind}"] > 0, kind

@@ -82,3 +82,12 @@ def test_unknown_config_key_is_a_json_error(study_csv, tmp_path, capsys):
     assert code == 1
     err = _error_record(capsys)
     assert err["type"] == "DomainError" and "chainz" in err["message"]
+
+
+@pytest.mark.parametrize("level", ["0", "1.5"])
+def test_level_outside_the_unit_interval_is_a_json_error(study_csv, tmp_path, capsys, level):
+    code = main(["ml", "--level", level, "--data", str(study_csv), "--out-dir", str(tmp_path)])
+    assert code == 1
+    err = _error_record(capsys)
+    assert err["type"] == "DomainError" and "level" in err["message"]
+    assert not (tmp_path / "ml_summary.json").exists()

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from betamix.distributions import DomainError
 from betamix.mcmc import (
     ChainOutput,
     McmcConfig,
@@ -30,6 +31,8 @@ def test_stored_draw_counts():
     assert McmcConfig(iterations=50_000, burn_in=10_000, thin=8).n_stored == 5000
     with pytest.raises(Exception):
         McmcConfig(iterations=100, burn_in=200)
+    with pytest.raises(DomainError, match="stores no draw"):
+        McmcConfig(iterations=30, burn_in=25, thin=10)
 
 
 # -- diagnostics on synthetic chain arrays -------------------------------------
@@ -69,9 +72,17 @@ def test_effective_sample_size_iid_vs_autocorrelated(rng):
 # -- the all-groups pass ----------------------------------------------------------
 
 # Fixed before the group pass was written: its log ratios must match a direct
-# evaluation of the joint posterior, and its incremental caches a rebuild.
+# evaluation of the joint posterior, and its incremental caches a freshly
+# built target's.
 GROUP_LOG_RATIO_TOL = 1e-9
 GROUP_CACHE_TOL = 1e-10
+CACHED_FIELDS = ("eta", "row_terms", "group_lik", "lik_total", "prior_quad", "phi",
+                 "hyper_lp", "q_mat", "q_logdet")
+
+
+def _recenter_pairs(ctx):
+    return [(a, k) for a in range(ctx.q) for k in range(ctx.p)
+            if np.array_equal(ctx.X[:, k], ctx.Z[:, a])]
 
 
 def _group_target(random, lam, rng):
@@ -81,7 +92,7 @@ def _group_target(random, lam, rng):
     theta = (HyperPoint.from_natural(80.0, 40.0) if ctx.q == 1
              else HyperPoint.from_natural(80.0, 40.0, 300.0, 0.3))
     x = rng.normal(scale=0.3, size=ctx.n_latent)
-    target = _BetaModelTarget(ctx, theta.as_array(), x, lam, [])
+    target = _BetaModelTarget(ctx, theta.as_array(), x, lam, _recenter_pairs(ctx))
     delta = rng.normal(scale=0.2, size=(ctx.n_groups, ctx.q))
     return ctx, theta, x, target, delta
 
@@ -103,26 +114,63 @@ def test_group_pass_log_ratios_match_joint_posterior(random, lam, rng):
         assert abs(logr[i] - expected) < GROUP_LOG_RATIO_TOL, (i, logr[i], expected)
 
 
-@pytest.mark.parametrize("lam", [1.0, 0.0])
+def _state(target):
+    return np.concatenate([target.x_b.ravel(), target.x_beta]), HyperPoint.from_array(target.theta)
+
+
+def _tempered_log_posterior(ctx, target, lam):
+    x, theta = _state(target)
+    return ctx.joint_log_posterior(x, theta) - (1.0 - lam) * ctx.loglik(ctx.eta(x), theta.phi)
+
+
+def _assert_caches_match_fresh_target(ctx, target, lam):
+    x, _ = _state(target)
+    fresh = _BetaModelTarget(ctx, target.theta, x, lam, _recenter_pairs(ctx))
+    for name in CACHED_FIELDS:
+        np.testing.assert_allclose(getattr(target, name), getattr(fresh, name), rtol=0,
+                                   atol=GROUP_CACHE_TOL, err_msg=name)
+
+
+@pytest.mark.parametrize("lam", [1.0, 0.5, 0.0])
 @pytest.mark.parametrize("random", ["intercept", "intercept+slope"])
 def test_group_pass_commit_keeps_caches_consistent(random, lam, rng):
-    ctx, theta, x, target, delta = _group_target(random, lam, rng)
+    """Every site kind's staged and committed moves leave the caches equal
+    to those of a target built afresh at the committed state, and each
+    committed scalar or hyper move's log ratio is the tempered posterior's
+    change."""
+    ctx, _, _, target, delta = _group_target(random, lam, rng)
     accepted = np.arange(ctx.n_groups) % 3 != 1
     b_before = target.x_b.copy()
     target.stage_groups(delta)
     target.commit_groups(accepted)
     np.testing.assert_array_equal(target.x_b[accepted], b_before[accepted] + delta[accepted])
     np.testing.assert_array_equal(target.x_b[~accepted], b_before[~accepted])
+    _assert_caches_match_fresh_target(ctx, target, lam)
+    with pytest.raises(RuntimeError):
+        target.commit_groups(accepted)
 
-    kept = {name: np.copy(getattr(target, name))
-            for name in ("eta", "row_terms", "group_lik", "lik_total", "prior_quad")}
-    target.eta = ctx.eta(np.concatenate([target.x_b.ravel(), target.x_beta]))
-    np.testing.assert_allclose(kept["eta"], target.eta, rtol=0, atol=GROUP_CACHE_TOL)
-    target._rebuild_theta_caches()
-    target._rebuild_lik_caches()
-    for name, value in kept.items():
-        np.testing.assert_allclose(value, getattr(target, name), rtol=0,
-                                   atol=GROUP_CACHE_TOL, err_msg=name)
+    m = target.theta.size
+    keys = ([("beta", k) for k in range(ctx.p)] + [("theta",)]
+            + [("recenter", a) for a, _ in _recenter_pairs(ctx)] + [("groups",)])
+    assert ("recenter", 0) in keys
+    for key in [keys[i] for _ in range(6) for i in rng.permutation(len(keys))]:
+        commit = rng.random() < 0.7
+        if key == ("groups",):
+            target.stage_groups(rng.normal(scale=0.2, size=(ctx.n_groups, ctx.q)))
+            target.commit_groups(rng.random(ctx.n_groups) < (0.6 if commit else 0.0))
+        else:
+            dim = m if key == ("theta",) else 1
+            before = _tempered_log_posterior(ctx, target, lam)
+            logr = target.log_ratio(key, rng.normal(scale=0.1, size=dim))
+            if commit:
+                target.commit(key)
+                change = _tempered_log_posterior(ctx, target, lam) - before
+                assert abs(logr - change) < GROUP_LOG_RATIO_TOL, (key, logr, change)
+        _assert_caches_match_fresh_target(ctx, target, lam)
+
+    target.log_ratio(("beta", 0), np.array([0.1]))
+    with pytest.raises(RuntimeError):
+        target.commit(("theta",))
     with pytest.raises(RuntimeError):
         target.commit_groups(accepted)
 
@@ -186,16 +234,20 @@ def test_kde_uses_log_scale_for_positive_hypers(reduced_mcmc):
     assert forced.x[0] < k_phi.x[0]
 
 
-@pytest.mark.parametrize("random", ["intercept", "intercept+slope"])
+@pytest.mark.parametrize("random", ["none", "intercept", "intercept+slope"])
 def test_fixed_seed_bitwise_reproducibility(random):
     study = simulate_study(seed=2, n_groups=4, n_total=32, random=random)
-    assert study.spec.slope_column == (None if random == "intercept" else "income")
+    assert study.spec.slope_column == ("income" if random == "intercept+slope" else None)
     cfg = McmcConfig(n_chains=2, iterations=1_500, burn_in=300, thin=3, seed=11)
     a = run_mcmc(study.data, study.spec, config=cfg)
     b = run_mcmc(study.data, study.spec, config=cfg)
     np.testing.assert_array_equal(a.samples, b.samples)
+    # acceptance rates come in sweep order: fixed effects, groups, theta, recentering
+    kinds = [k.split("'")[1] for k in a.acceptance]
+    assert kinds == sorted(kinds, key=("beta", "b", "theta", "recenter").index)
     group_keys = sorted(k for k in a.acceptance if k.startswith("('b',"))
-    assert group_keys == sorted(str(("b", i)) for i in range(4))
+    n_group_sites = 0 if random == "none" else 4
+    assert group_keys == sorted(str(("b", i)) for i in range(n_group_sites))
     c = run_mcmc(study.data, study.spec, config=replace(cfg, seed=12))
     assert not np.array_equal(a.samples, c.samples)
 
