@@ -27,7 +27,7 @@ from ._io import atomic_write
 from .config import AnalysisConfig, load_csv, write_rows_csv
 from .distributions import DomainError
 from .laplace import fit_laplace
-from .likelihood import ml_fit, profile_interval
+from .likelihood import check_level, ml_fit, profile_interval
 from .mcmc import export_chains, run_mcmc
 from .model import Dataset
 from .priors import ElicitationInput, elicit_gamma_prior, elicited_range_roundtrip
@@ -186,6 +186,8 @@ def _cmd_mcmc(config: AnalysisConfig, args, out_dir: Path) -> dict:
 
 
 def _cmd_ml(config: AnalysisConfig, args, out_dir: Path) -> dict:
+    level = float(getattr(args, "level", 0.95))
+    check_level(level)  # rejected before any data is loaded or fit
     t0 = time.perf_counter()
     data = _load_data(config)
     t_load = time.perf_counter()
@@ -193,7 +195,6 @@ def _cmd_ml(config: AnalysisConfig, args, out_dir: Path) -> dict:
     fit = ml_fit(data, spec)
     t_fit = time.perf_counter()
     use_profile = bool(getattr(args, "profile", False))
-    level = float(getattr(args, "level", 0.95))
     params: dict[str, dict[str, float]] = {}
     for name in fit.names:
         est = fit.estimate(name)

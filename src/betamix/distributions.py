@@ -153,14 +153,16 @@ def gamma_logpdf(x, g: GammaShapeRate):
 def wishart_logpdf(q_mat, df: float, scale):
     """Wishart log density under the convention ``E[Q] = df * scale``.
 
-    With that convention the dimension-1 case reduces exactly to
-    ``gamma_logpdf(q, GammaShapeRate(df / 2, 1 / (2 * scale)))``.  Requires
-    ``df > dim - 1`` and both matrices symmetric positive definite.
+    ``q_mat`` is one matrix or a stack (..., d, d); the result has the
+    stack's shape.  With that convention the dimension-1 case reduces
+    exactly to ``gamma_logpdf(q, GammaShapeRate(df / 2, 1 / (2 * scale)))``.
+    Requires ``df > dim - 1`` and every matrix symmetric positive definite.
     """
-    q_mat = np.atleast_2d(np.asarray(q_mat, dtype=float))
+    q_mat = np.asarray(q_mat, dtype=float)
+    q_mat = q_mat.reshape(q_mat.shape + (1, 1)) if q_mat.ndim == 0 else q_mat
     scale = np.atleast_2d(np.asarray(scale, dtype=float))
-    d = q_mat.shape[0]
-    if q_mat.shape != (d, d) or scale.shape != (d, d):
+    d = q_mat.shape[-1]
+    if q_mat.shape[-2:] != (d, d) or scale.shape != (d, d):
         raise DomainError("Q and scale must be square matrices of equal size")
     if not df > d - 1:
         raise DomainError(f"df must exceed dim - 1 = {d - 1}, got {df}")
@@ -169,11 +171,11 @@ def wishart_logpdf(q_mat, df: float, scale):
         chol_s = np.linalg.cholesky(scale)
     except np.linalg.LinAlgError as exc:
         raise DomainError("Q and scale must be positive definite") from exc
-    logdet_q = 2.0 * np.sum(np.log(np.diag(chol_q)))
+    logdet_q = 2.0 * np.sum(np.log(np.diagonal(chol_q, axis1=-2, axis2=-1)), axis=-1)
     logdet_s = 2.0 * np.sum(np.log(np.diag(chol_s)))
     # tr(S^-1 Q) via triangular solves against the Cholesky factor of S.
     half = np.linalg.solve(chol_s, q_mat)
-    trace = float(np.trace(np.linalg.solve(chol_s, half.T)))
+    trace = np.trace(np.linalg.solve(chol_s, np.swapaxes(half, -1, -2)), axis1=-2, axis2=-1)
     return (
         0.5 * (df - d - 1.0) * logdet_q
         - 0.5 * trace

@@ -229,8 +229,7 @@ class MLFit:
 
     def wald_interval(self, param: str | int, level: float = 0.95) -> tuple[float, float]:
         """Normal-theory interval on the unconstrained scale, transformed back."""
-        if not 0.0 < level < 1.0:
-            raise DomainError("level must lie strictly in (0, 1)")
+        check_level(level)
         j = self.index(param)
         z = float(norm.ppf(0.5 * (1.0 + level)))
         lo = self.vector[j] - z * self.se_unconstrained[j]
@@ -354,6 +353,12 @@ def profile_bounds(
     return bounds[0], bounds[1], count
 
 
+def check_level(level: float) -> None:
+    """Raise ``DomainError`` unless the interval level lies strictly in (0, 1)."""
+    if not 0.0 < level < 1.0:
+        raise DomainError("level must lie strictly in (0, 1)")
+
+
 def profile_interval(fit: MLFit, param: str | int, level: float = 0.95) -> ProfileInterval:
     """Profile likelihood interval for one parameter of an ``ml_fit`` result.
 
@@ -364,8 +369,7 @@ def profile_interval(fit: MLFit, param: str | int, level: float = 0.95) -> Profi
     """
     if fit._lik is None:
         raise DomainError("this MLFit does not carry its likelihood evaluator")
-    if not 0.0 < level < 1.0:
-        raise DomainError("level must lie strictly in (0, 1)")
+    check_level(level)
     j = fit.index(param)
     lik = fit._lik
     drop = float(chi2.ppf(level, 1)) / 2.0

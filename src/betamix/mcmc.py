@@ -313,7 +313,8 @@ class _BetaModelTarget:
     def _theta_fields(self, theta: np.ndarray) -> dict:
         """Every cached field that depends on the hyperparameters alone."""
         hp = HyperPoint.from_array(theta)
-        fields = {"theta": theta, "phi": hp.phi, "hyper_lp": self.ctx.hyper_log_prior(hp),
+        fields = {"theta": theta, "phi": hp.phi,
+                  "hyper_lp": float(self.ctx.hyper_log_prior(theta)),
                   "q_mat": None, "q_logdet": 0.0, "prior_quad": np.zeros(0)}
         if self.ctx.q:
             q_mat = hp.precision_matrix()
@@ -611,11 +612,10 @@ def run_mcmc(
     m = len(ctx.hyper_names)
 
     if config.likelihood_scale > 0.0:
-        theta0, mode_res, curv, sigma_theta = hyper_mode(ctx)
-        x0 = mode_res.x
-        v_bb, _, v_xx = mode_res.chol.inverse_pieces()
-        beta_sd = np.sqrt(np.diag(v_xx))
-        b_chols = np.linalg.cholesky(v_bb) if ctx.q else None
+        theta0, cond, curv, sigma_theta = hyper_mode(ctx)
+        x0 = cond.mean
+        beta_sd = np.sqrt(np.diag(cond.v_xx))
+        b_chols = np.linalg.cholesky(cond.v_bb) if ctx.q else None
         theta_chol = np.linalg.cholesky(np.linalg.inv(curv))
     else:
         theta0 = _prior_start(ctx)

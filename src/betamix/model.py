@@ -31,7 +31,10 @@ The latent field stacks the group effects row-major ahead of the fixed
 effects: ``x = (b_1, ..., b_N, beta)``.  Its negative Hessian is block
 diagonal in the ``b_i`` with dense coupling rows for ``beta``;
 :class:`BlockSymmetric` stores exactly that structure and factorizes it by a
-Schur complement instead of densifying.
+Schur complement instead of densifying.  The latent-field functions take a
+stack: ``conditional_objective`` and ``grad_hessian`` evaluate B latent
+vectors at B hyper points, and ``BlockSymmetric``/``BlockCholesky`` carry a
+leading batch axis; one point is the case B = 1.
 
 Every decision the three engines share lives here once: the row likelihood
 and its link derivatives (``loglik_rows``, ``eta_derivs``), the
@@ -367,10 +370,36 @@ def build_design(data: Dataset, spec: ModelSpec) -> DesignInfo:
 # ---------------------------------------------------------------------------
 
 
-def _log1m_tanh_sq(z: float) -> float:
-    """log(1 - tanh(z)^2), stable for large |z|."""
-    a = abs(z)
-    return float(np.log(4.0) - 2.0 * (a + np.log1p(np.exp(-2.0 * a))))
+def _log1m_tanh_sq(z):
+    """log(1 - tanh(z)^2), stable for large |z|; elementwise."""
+    a = np.abs(z)
+    return np.log(4.0) - 2.0 * (a + np.log1p(np.exp(-2.0 * a)))
+
+
+def precision_matrices(raneff: np.ndarray) -> np.ndarray:
+    """Random-effect precisions Q (..., q, q) from the random-effect
+    coordinates (..., 1) or (..., 3); positive definite for all finite ones."""
+    raneff = np.asarray(raneff, dtype=float)
+    if raneff.shape[-1] == 1:
+        return np.exp(raneff)[..., None]
+    u1, u2, z = raneff[..., 0], raneff[..., 1], raneff[..., 2]
+    c = np.tanh(z)
+    g = np.exp(-_log1m_tanh_sq(z))  # 1 / (1 - c^2)
+    q11 = np.exp(u1) * g
+    q22 = np.exp(u2) * g
+    q12 = -c * np.exp(0.5 * (u1 + u2)) * g
+    return np.stack([np.stack([q11, q12], axis=-1), np.stack([q12, q22], axis=-1)], axis=-2)
+
+
+def precision_logdets(raneff: np.ndarray) -> np.ndarray:
+    """log det Q in closed form from the random-effect coordinates (..., k):
+    0 for k = 0, u1 for q = 1 and u1 + u2 - log(1 - tanh(z)^2) for q = 2."""
+    raneff = np.asarray(raneff, dtype=float)
+    if raneff.shape[-1] == 0:
+        return np.zeros(raneff.shape[:-1])
+    if raneff.shape[-1] == 1:
+        return raneff[..., 0]
+    return raneff[..., 0] + raneff[..., 1] - _log1m_tanh_sq(raneff[..., 2])
 
 
 @dataclass(frozen=True)
@@ -438,17 +467,7 @@ class HyperPoint:
 
     def precision_matrix(self) -> np.ndarray | None:
         """Random-effect precision Q; positive definite for all finite coords."""
-        if self.q == 0:
-            return None
-        if self.q == 1:
-            return np.array([[np.exp(self.raneff[0])]])
-        u1, u2, z = self.raneff
-        c = np.tanh(z)
-        g = np.exp(-_log1m_tanh_sq(z))  # 1 / (1 - c^2)
-        q11 = np.exp(u1) * g
-        q22 = np.exp(u2) * g
-        q12 = -c * np.exp(0.5 * (u1 + u2)) * g
-        return np.array([[q11, q12], [q12, q22]])
+        return precision_matrices(self.raneff) if self.q else None
 
     def natural(self) -> dict[str, float]:
         out = {"phi": self.phi}
@@ -465,26 +484,30 @@ class HyperPoint:
         return out
 
     def precision_logdet(self) -> float:
-        """log det Q from its Cholesky factor; 0 without random effects."""
-        if self.q == 0:
-            return 0.0
-        chol = np.linalg.cholesky(self.precision_matrix())
-        return 2.0 * float(np.sum(np.log(np.diag(chol))))
+        """log det Q in closed form (:func:`precision_logdets`)."""
+        return float(precision_logdets(self.raneff))
 
     def log_jacobian(self) -> float:
-        """log |d(natural)/d(unconstrained)| for hyperprior evaluation.
+        """log |d(natural)/d(unconstrained)| (:func:`log_jacobians`)."""
+        return float(log_jacobians(self.as_array()))
 
-        phi and tau are log transforms; for q = 2 the map
-        (u1, u2, z) -> (Q11, Q12, Q22) has
-        log |J| = 1.5 (u1 + u2) - 2 log(1 - c^2).
-        """
-        jac = self.log_phi
-        if self.q == 1:
-            jac += self.raneff[0]
-        elif self.q == 2:
-            u1, u2, z = self.raneff
-            jac += 1.5 * (u1 + u2) - 2.0 * _log1m_tanh_sq(z)
-        return float(jac)
+
+def log_jacobians(thetas: np.ndarray) -> np.ndarray:
+    """log |d(natural)/d(unconstrained)| at hyper coordinates (..., m), for
+    hyperprior evaluation.
+
+    phi and tau are log transforms; for q = 2 the map
+    (u1, u2, z) -> (Q11, Q12, Q22) has
+    log |J| = 1.5 (u1 + u2) - 2 log(1 - c^2).
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    jac = thetas[..., 0]
+    if thetas.shape[-1] == 2:
+        jac = jac + thetas[..., 1]
+    elif thetas.shape[-1] == 4:
+        u1, u2, z = thetas[..., 1], thetas[..., 2], thetas[..., 3]
+        jac = jac + (1.5 * (u1 + u2) - 2.0 * _log1m_tanh_sq(z))
+    return jac
 
 
 #: report names and unconstrained-to-natural transforms of the hyper
@@ -554,17 +577,17 @@ def eta_derivs(link: Link, y: np.ndarray, eta: np.ndarray, phi: float) -> tuple[
 
 def group_sums(Z: np.ndarray, starts: np.ndarray, s: np.ndarray,
                w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-group ``Z_i' s_i`` (N, q) and ``Z_i' W_i Z_i`` (N, q, q) from the
-    per-row derivatives ``s`` and ``w``; one reduction per distinct block
-    entry."""
+    """Per-group ``Z_i' s_i`` (..., N, q) and ``Z_i' W_i Z_i`` (..., N, q, q)
+    from the per-row derivatives ``s`` and ``w`` (..., n); one reduction per
+    distinct block entry."""
     q = Z.shape[1]
-    zs = np.add.reduceat(Z * s[:, None], starts, axis=0)
-    zwz = np.empty((starts.size, q, q))
+    zs = np.add.reduceat(Z * s[..., None], starts, axis=-2)
+    zwz = np.empty(zs.shape + (q,))
     for a in range(q):
         for c in range(a, q):
-            vals = np.add.reduceat(w * Z[:, a] * Z[:, c], starts)
-            zwz[:, a, c] = vals
-            zwz[:, c, a] = vals
+            vals = np.add.reduceat(w * Z[:, a] * Z[:, c], starts, axis=-1)
+            zwz[..., a, c] = vals
+            zwz[..., c, a] = vals
     return zs, zwz
 
 
@@ -734,33 +757,33 @@ def newton_ascent(values: Callable[[np.ndarray], np.ndarray],
 
 
 class BlockSymmetric:
-    """Symmetric matrix with N diagonal q x q blocks and dense beta coupling.
+    """B symmetric matrices with N diagonal q x q blocks and dense beta coupling.
 
-    Stores ``bb`` (N, q, q), ``bx`` (N, q, p) and ``xx`` (p, p); the dense
-    equivalent is [[blockdiag(bb), vstack(bx)], [*, xx]].
+    Stores ``bb`` (B, N, q, q), ``bx`` (B, N, q, p) and ``xx`` (B, p, p); the
+    dense equivalent of entry k is [[blockdiag(bb[k]), vstack(bx[k])], [*, xx[k]]].
+    One matrix is the case B = 1.
     """
 
     def __init__(self, bb: np.ndarray, bx: np.ndarray, xx: np.ndarray):
         self.bb = np.asarray(bb, dtype=float)
         self.bx = np.asarray(bx, dtype=float)
         self.xx = np.asarray(xx, dtype=float)
-        self.n_blocks = self.bb.shape[0]
-        self.q = self.bb.shape[1] if self.bb.ndim == 3 else 0
-        self.p = self.xx.shape[0]
+        self.batch, self.n_blocks, self.q = self.bb.shape[:3]
+        self.p = self.xx.shape[1]
         self.dim = self.n_blocks * self.q + self.p
 
     def __neg__(self) -> "BlockSymmetric":
         return BlockSymmetric(-self.bb, -self.bx, -self.xx)
 
     def to_dense(self) -> np.ndarray:
-        n, q, p = self.n_blocks, self.q, self.p
-        out = np.zeros((self.dim, self.dim))
+        n, q = self.n_blocks, self.q
+        out = np.zeros((self.batch, self.dim, self.dim))
         for i in range(n):
             s = slice(i * q, (i + 1) * q)
-            out[s, s] = self.bb[i]
-            out[s, n * q :] = self.bx[i]
-            out[n * q :, s] = self.bx[i].T
-        out[n * q :, n * q :] = self.xx
+            out[:, s, s] = self.bb[:, i]
+            out[:, s, n * q :] = self.bx[:, i]
+            out[:, n * q :, s] = self.bx[:, i].transpose(0, 2, 1)
+        out[:, n * q :, n * q :] = self.xx
         return out
 
     def cholesky(self) -> "BlockCholesky":
@@ -768,69 +791,99 @@ class BlockSymmetric:
 
 
 class BlockCholesky:
-    """Schur-complement factorization of a positive definite BlockSymmetric.
+    """Schur-complement factorization of a stack of BlockSymmetric matrices.
 
-    Raises ``np.linalg.LinAlgError`` when any block (or the Schur complement)
-    is not positive definite, which the Newton loop uses as its SPD check.
+    ``ok`` (B,) marks the matrices whose every block and Schur complement is
+    positive definite; the Newton loop uses it as its SPD test.  The factors
+    of the others carry a unit pivot wherever a pivot failed, so every solve
+    stays finite, but their values mean nothing.
     """
 
     def __init__(self, mat: BlockSymmetric):
         self.mat = mat
-        n, q, p = mat.n_blocks, mat.q, mat.p
-        if n * q > 0:
-            chol_bb = np.linalg.cholesky(mat.bb)
-            self._logdet_bb = 2.0 * float(np.sum(np.log(np.diagonal(chol_bb, axis1=1, axis2=2))))
-            self.gain = np.linalg.solve(mat.bb, mat.bx)  # (N, q, p)
-            schur = mat.xx - np.einsum("nqp,nqs->ps", mat.bx, self.gain)
+        if mat.n_blocks * mat.q:
+            self._chol_bb, ok_bb = _cholesky(mat.bb)
+            self.gain = _chol_solve(self._chol_bb, mat.bx)  # (B, N, q, p)
+            self.schur = mat.xx - np.einsum("bnqp,bnqs->bps", mat.bx, self.gain)
+            ok = ok_bb.all(axis=1)
         else:
-            self._logdet_bb = 0.0
-            self.gain = np.zeros((n, q, p))
-            schur = mat.xx.copy()
-        self.schur = schur
-        self._chol_schur = np.linalg.cholesky(schur) if p > 0 else np.zeros((0, 0))
+            self._chol_bb = mat.bb
+            self.gain = mat.bx
+            self.schur = mat.xx
+            ok = np.ones(mat.batch, dtype=bool)
+        self._chol_schur, ok_schur = _cholesky(self.schur)
+        self.ok = ok & ok_schur
 
-    def logdet(self) -> float:
-        return self._logdet_bb + 2.0 * float(np.sum(np.log(np.diag(self._chol_schur))))
+    def logdet(self) -> np.ndarray:
+        """(B,) log determinants."""
+        diag_bb = np.diagonal(self._chol_bb, axis1=2, axis2=3)
+        diag_schur = np.diagonal(self._chol_schur, axis1=1, axis2=2)
+        return 2.0 * (np.log(diag_bb).sum(axis=(1, 2)) + np.log(diag_schur).sum(axis=1))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve against the rows of ``rhs`` (B, dim)."""
         mat = self.mat
-        n, q, p = mat.n_blocks, mat.q, mat.p
-        nb = n * q
-        gb = rhs[:nb].reshape(n, q) if nb else np.zeros((n, q))
-        gx = rhs[nb:]
+        nb = mat.n_blocks * mat.q
+        gx = rhs[:, nb:]
         if nb:
-            u = np.linalg.solve(mat.bb, gb[..., None])[..., 0]
-            red = gx - np.einsum("nqp,nq->p", mat.bx, u)
-        else:
-            u = gb
-            red = gx
-        dx = _chol_solve(self._chol_schur, red) if p else np.zeros(0)
-        if nb:
-            db = u - np.einsum("nqp,p->nq", self.gain, dx)
-        else:
-            db = u
-        return np.concatenate([db.ravel(), dx])
+            gb = rhs[:, :nb].reshape(mat.batch, mat.n_blocks, mat.q)
+            u = _chol_solve(self._chol_bb, gb[..., None])[..., 0]
+            gx = gx - np.einsum("bnqp,bnq->bp", mat.bx, u)
+        dx = _chol_solve(self._chol_schur, gx[..., None])[..., 0]
+        if not nb:
+            return dx
+        db = u - np.einsum("bnqp,bp->bnq", self.gain, dx)
+        return np.concatenate([db.reshape(mat.batch, nb), dx], axis=1)
 
     def inverse_pieces(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(V_bb (N,q,q), C_bx (N,q,p), V_xx (p,p)) of the full inverse."""
+        """(V_bb (B,N,q,q), C_bx (B,N,q,p), V_xx (B,p,p)) of the full inverses."""
         mat = self.mat
-        n, q, p = mat.n_blocks, mat.q, mat.p
-        v_xx = _chol_solve(self._chol_schur, np.eye(p)) if p else np.zeros((0, 0))
-        if n * q:
-            inv_bb = np.linalg.inv(mat.bb)
-            c_bx = -np.einsum("nqp,ps->nqs", self.gain, v_xx)
-            v_bb = inv_bb + np.einsum("nqp,ps,nrs->nqr", self.gain, v_xx, self.gain)
-        else:
-            c_bx = np.zeros((n, q, p))
-            v_bb = np.zeros((n, q, q))
+        v_xx = _chol_solve(self._chol_schur, np.broadcast_to(np.eye(mat.p), self.schur.shape))
+        c_bx = -np.einsum("bnqp,bps->bnqs", self.gain, v_xx)
+        v_bb = np.einsum("bnqp,bnrp->bnqr", self.gain, -c_bx)
+        if mat.n_blocks * mat.q:
+            v_bb += _chol_solve(self._chol_bb, np.broadcast_to(np.eye(mat.q), mat.bb.shape))
         return v_bb, c_bx, v_xx
 
 
-def _chol_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    from scipy.linalg import solve_triangular
+def _cholesky(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower Cholesky factors of a stack of symmetric k x k matrices (..., k, k)
+    and a mask (...) of the positive definite ones.
 
-    y = solve_triangular(chol, rhs, lower=True)
-    return solve_triangular(chol.T, y, lower=False)
+    Column by column, every matrix at once; a pivot that is not positive is
+    replaced by 1 and clears the matrix's mask, so no matrix of the stack
+    stops the others.
+    """
+    k = a.shape[-1]
+    chol = np.zeros_like(a)
+    ok = np.ones(a.shape[:-2], dtype=bool)
+    for j in range(k):
+        row = chol[..., j, :j]
+        pivot = a[..., j, j] - np.sum(row * row, axis=-1)
+        good = pivot > 0.0
+        ok &= good
+        d = np.sqrt(np.where(good, pivot, 1.0))
+        chol[..., j, j] = d
+        if j + 1 < k:
+            below = a[..., j + 1 :, j] - np.sum(chol[..., j + 1 :, :j] * row[..., None, :], axis=-1)
+            chol[..., j + 1 :, j] = below / d[..., None]
+    return chol, ok
+
+
+def _chol_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``L L' x = rhs`` for stacks of lower factors (..., k, k) and
+    right-hand sides (..., k, r): forward then back substitution, row by
+    row, every system at once (a LAPACK call per system costs more than
+    the arithmetic of these small ones)."""
+    k = chol.shape[-1]
+    x = np.empty(np.broadcast_shapes(chol.shape[:-2], rhs.shape[:-2]) + rhs.shape[-2:])
+    for i in range(k):
+        done = np.sum(chol[..., i, :i, None] * x[..., :i, :], axis=-2)
+        x[..., i, :] = (rhs[..., i, :] - done) / chol[..., i, i, None]
+    for i in reversed(range(k)):
+        done = np.sum(chol[..., i + 1 :, i, None] * x[..., i + 1 :, :], axis=-2)
+        x[..., i, :] = (x[..., i, :] - done) / chol[..., i, i, None]
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -858,6 +911,11 @@ class ModelContext:
         self.q = spec.q
         self.link = LINKS[spec.link]
         self.n_latent = self.n_groups * self.q + self.p
+        # row products behind the Hessian blocks: h_xx = w @ xx_rows and the
+        # group sums of w * zx_rows give h_bx, one product for a whole stack
+        self._xt = np.ascontiguousarray(self.X.T)
+        self._xx_rows = (self.X[:, :, None] * self.X[:, None, :]).reshape(self.n, -1)
+        self._zx_rows = (self.Z[:, :, None] * self.X[:, None, :]).reshape(self.n, -1)
 
         prec = np.full(self.p, priors.slope_precision)
         prec[0] = priors.intercept_precision
@@ -909,25 +967,26 @@ class ModelContext:
         return tuple(names)
 
     def split(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Group effects (..., N, q) and fixed effects (..., p) of latent
+        vectors (..., d)."""
         nb = self.n_groups * self.q
-        return x[:nb].reshape(self.n_groups, self.q), x[nb:]
+        return x[..., :nb].reshape(x.shape[:-1] + (self.n_groups, self.q)), x[..., nb:]
 
     # -- evaluation ---------------------------------------------------------
 
     def eta(self, x: np.ndarray) -> np.ndarray:
+        """Linear predictors (..., n) of latent vectors (..., d)."""
         b, beta = self.split(x)
-        eta = self.X @ beta
+        eta = beta @ self._xt
         if self.q:
-            eta = eta + np.sum(self.Z * b[self.groups], axis=1)
+            eta = eta + np.sum(self.Z * b[..., self.groups, :], axis=-1)
         return eta
 
     def loglik(self, eta: np.ndarray, phi: float) -> float:
         return float(np.sum(loglik_rows(self.link, self.y, eta, phi)))
 
-    def beta_log_prior(self, beta: np.ndarray) -> float:
-        return self._beta_prior_const - 0.5 * float(
-            np.sum(self.beta_prior_prec * beta * beta)
-        )
+    def beta_log_prior(self, beta: np.ndarray) -> float | np.ndarray:
+        return self._beta_prior_const - 0.5 * np.sum(self.beta_prior_prec * beta * beta, axis=-1)
 
     def raneff_log_prior(self, b: np.ndarray, theta: HyperPoint) -> float:
         if self.q == 0:
@@ -937,17 +996,18 @@ class ModelContext:
         logdet = theta.precision_logdet()
         return self.n_groups * (-0.5 * self.q * LOG_2PI + 0.5 * logdet) - 0.5 * quad
 
-    def hyper_log_prior(self, theta: HyperPoint) -> float:
+    def hyper_log_prior(self, thetas: np.ndarray) -> np.ndarray:
         """Hyperprior density on the natural scale plus the log Jacobian of
-        the unconstrained parametrization."""
+        the unconstrained parametrization, at hyper coordinates (..., m)."""
+        thetas = np.asarray(thetas, dtype=float)
         pr = self.priors
-        lp = float(gamma_logpdf(theta.phi, pr.phi))
+        lp = gamma_logpdf(np.exp(thetas[..., 0]), pr.phi)
         if self.q == 1:
-            lp += float(gamma_logpdf(np.exp(theta.log_tau), pr.require_raneff_gamma()))
+            lp = lp + gamma_logpdf(np.exp(thetas[..., 1]), pr.require_raneff_gamma())
         elif self.q == 2:
             w = pr.require_raneff_wishart()
-            lp += float(wishart_logpdf(theta.precision_matrix(), w.df, w.scale))
-        return lp + theta.log_jacobian()
+            lp = lp + wishart_logpdf(precision_matrices(thetas[..., 1:]), w.df, w.scale)
+        return lp + log_jacobians(thetas)
 
     def joint_log_posterior(self, x: np.ndarray, theta: HyperPoint) -> float:
         if theta.q != self.q:
@@ -960,63 +1020,69 @@ class ModelContext:
             self.loglik(eta, theta.phi)
             + self.raneff_log_prior(b, theta)
             + self.beta_log_prior(beta)
-            + self.hyper_log_prior(theta)
+            + float(self.hyper_log_prior(theta.as_array()))
         )
 
-    def conditional_objective(self, theta: HyperPoint) -> Callable[[np.ndarray], float]:
-        """Joint log posterior as a function of the latent field alone.
-
-        Everything that depends only on theta (hyperprior, random-effect
-        normalizing constant) is evaluated once up front, which matters
-        inside Newton line searches.
-        """
-        if theta.q != self.q:
+    def _hyper_stack(self, thetas: np.ndarray) -> np.ndarray:
+        thetas = np.asarray(thetas, dtype=float)
+        if thetas.ndim != 2 or thetas.shape[1] != len(self.hyper_names):
             raise DomainError(
-                f"theta has {theta.q} random terms but the model has {self.q}"
+                f"expected a stack of hyper points with {len(self.hyper_names)} "
+                f"coordinates, got shape {thetas.shape}"
             )
-        phi = theta.phi
-        const = self.hyper_log_prior(theta)
-        if self.q:
-            q_mat = theta.precision_matrix()
-            const += self.n_groups * (-0.5 * self.q * LOG_2PI + 0.5 * theta.precision_logdet())
+        return thetas
 
-        def value(x: np.ndarray) -> float:
+    def conditional_objective(self, thetas: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """Joint log posteriors as a function of the latent field alone.
+
+        ``thetas`` (B, m) stacks B unconstrained hyper points; the returned
+        function maps B latent vectors (B, d), one per point, to their B
+        values.  Everything that depends only on theta (hyperprior,
+        random-effect normalizing constant) is evaluated once up front, which
+        matters inside Newton line searches.
+        """
+        thetas = self._hyper_stack(thetas)
+        phi = np.exp(thetas[:, :1])
+        const = self.hyper_log_prior(thetas)
+        if self.q:
+            q_mat = precision_matrices(thetas[:, 1:])
+            const += self.n_groups * (-0.5 * self.q * LOG_2PI
+                                      + 0.5 * precision_logdets(thetas[:, 1:]))
+
+        def value(x: np.ndarray) -> np.ndarray:
             b, beta = self.split(x)
-            eta = self.X @ beta
             out = const + self.beta_log_prior(beta)
             if self.q:
-                eta = eta + np.sum(self.Z * b[self.groups], axis=1)
-                out -= 0.5 * float(np.einsum("nq,qr,nr->", b, q_mat, b))
-            return out + self.loglik(eta, phi)
+                out -= 0.5 * np.einsum("bnq,bqr,bnr->b", b, q_mat, b)
+            return out + loglik_rows(self.link, self.y, self.eta(x), phi).sum(axis=1)
 
         return value
 
     # -- derivatives wrt the latent field -----------------------------------
 
-    def grad_hessian(self, x: np.ndarray, theta: HyperPoint) -> tuple[np.ndarray, BlockSymmetric]:
+    def grad_hessian(self, x: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray, BlockSymmetric]:
+        """Gradients (B, d) and Hessians of the joint log posterior in the
+        latent field at B latent vectors ``x`` (B, d), one per hyper point of
+        ``thetas`` (B, m)."""
+        thetas = self._hyper_stack(thetas)
         x = np.asarray(x, dtype=float)
         b, beta = self.split(x)
-        eta = self.eta(x)
-        s, w = eta_derivs(self.link, self.y, eta, theta.phi)
+        s, w = eta_derivs(self.link, self.y, self.eta(x), np.exp(thetas[:, :1]))
 
-        grad_beta = self.X.T @ s - self.beta_prior_prec * beta
-        h_xx = (self.X * w[:, None]).T @ self.X - np.diag(self.beta_prior_prec)
+        batch = x.shape[0]
+        grad_beta = s @ self.X - self.beta_prior_prec * beta
+        h_xx = (w @ self._xx_rows).reshape(batch, self.p, self.p) - np.diag(self.beta_prior_prec)
 
         if self.q == 0:
-            grad = grad_beta
-            return grad, BlockSymmetric(np.zeros((0, 0, 0)), np.zeros((0, 0, self.p)), h_xx)
+            return grad_beta, BlockSymmetric(np.zeros((batch, 0, 0, 0)),
+                                             np.zeros((batch, 0, 0, self.p)), h_xx)
 
-        q_mat = theta.precision_matrix()
+        q_mat = precision_matrices(thetas[:, 1:])
         starts = self.group_starts
         zs, h_bb = group_sums(self.Z, starts, s, w)
         grad_b = zs - b @ q_mat
-        h_bb -= q_mat[None, :, :]
+        h_bb -= q_mat[:, None, :, :]
+        h_bx = np.add.reduceat(w[..., None] * self._zx_rows, starts, axis=1)
 
-        h_bx = np.empty((self.n_groups, self.q, self.p))
-        for a in range(self.q):
-            h_bx[:, a, :] = np.add.reduceat(
-                (w * self.Z[:, a])[:, None] * self.X, starts, axis=0
-            )
-
-        grad = np.concatenate([grad_b.ravel(), grad_beta])
-        return grad, BlockSymmetric(h_bb, h_bx, h_xx)
+        grad = np.concatenate([grad_b.reshape(batch, -1), grad_beta], axis=1)
+        return grad, BlockSymmetric(h_bb, h_bx.reshape(h_bb.shape[:3] + (self.p,)), h_xx)

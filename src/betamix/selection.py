@@ -95,8 +95,11 @@ def _gof_pass(fit: FitResult) -> _GofPass:
         ll = _rowwise_loglik(fit, cond, float(phis[t]), nodes, ctx)
         mean_dev += w * (-2.0) * float(np.sum(ll @ gh_w))
         x_mean += w * cond.mean
-        # log E_cond[1/f] per row, then weighted across the grid
-        terms.append(np.log(w) + logsumexp(log_gh_w[None, :] - ll, axis=1))
+        # log E_cond[1/f] per row, then weighted across the grid; the
+        # max-shifted sum is scipy's logsumexp without its per-call checks
+        a = log_gh_w[None, :] - ll
+        top = a.max(axis=1)
+        terms.append(np.log(w) + top + np.log(np.exp(a - top[:, None]).sum(axis=1)))
     fit._gof_pass = _GofPass(mean_dev, x_mean, logsumexp(np.vstack(terms), axis=0))
     return fit._gof_pass
 

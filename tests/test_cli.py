@@ -8,6 +8,7 @@ from importlib.resources import files
 import jsonschema
 import pytest
 
+from betamix import cli
 from betamix.cli import main
 
 SCHEMA = json.loads((files("betamix") / "schemas" / "summary.schema.json").read_text())
@@ -91,3 +92,15 @@ def test_level_outside_the_unit_interval_is_a_json_error(study_csv, tmp_path, ca
     err = _error_record(capsys)
     assert err["type"] == "DomainError" and "level" in err["message"]
     assert not (tmp_path / "ml_summary.json").exists()
+
+
+def test_level_is_checked_before_the_data_and_the_fit(tmp_path, capsys, monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("ml_fit ran for a level outside (0, 1)")
+
+    monkeypatch.setattr(cli, "ml_fit", no_fit)
+    code = main(["ml", "--level", "1.5", "--data", str(tmp_path / "absent.csv"),
+                 "--out-dir", str(tmp_path)])
+    assert code == 1
+    err = _error_record(capsys)
+    assert err["type"] == "DomainError" and "level" in err["message"]

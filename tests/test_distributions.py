@@ -97,11 +97,15 @@ def test_wishart_logpdf_matches_scipy(rng):
         df = rng.uniform(2.5, 12.0)
         a = rng.normal(size=(2, 2))
         scale = a @ a.T + 2.0 * np.eye(2)
-        b = rng.normal(size=(2, 2))
-        q = b @ b.T + 0.5 * np.eye(2)
+        b = rng.normal(size=(3, 2, 2))
+        q = b @ b.transpose(0, 2, 1) + 0.5 * np.eye(2)
         got = wishart_logpdf(q, df, scale)
-        want = stats.wishart.logpdf(q, df, scale)
-        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-8)
+        assert got.shape == (3,)
+        for k in range(3):
+            want = stats.wishart.logpdf(q[k], df, scale)
+            np.testing.assert_allclose(wishart_logpdf(q[k], df, scale), want,
+                                       rtol=1e-9, atol=1e-8)
+            assert got[k] == wishart_logpdf(q[k], df, scale)
 
 
 def test_domain_errors():

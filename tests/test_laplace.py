@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize, stats
 
-from betamix import model
+from betamix import laplace, model
 from betamix.density import MarginalDensity
 from betamix.distributions import GammaShapeRate, gamma_logpdf
 from betamix.laplace import (
@@ -20,7 +20,7 @@ from betamix.laplace import (
     hyper_mode,
     marginal_hyper,
 )
-from betamix.model import Dataset, HyperPoint, ModelContext, ModelSpec
+from betamix.model import Dataset, HyperPoint, ModelContext, ModelSpec, moment_start
 from betamix.priors import default_priors
 from betamix.sensitivity import hellinger
 from betamix.simulate import simulate_study
@@ -137,18 +137,68 @@ def test_conditional_mode_matches_generic_optimizer():
     study = simulate_study(seed=4, n_groups=5, n_total=50)
     ctx = ModelContext(study.data, study.spec, default_priors(study.spec))
     theta = HyperPoint.from_natural(90.0, 40.0)
-    res = find_conditional_mode(ctx, theta)
-    assert res.grad_norm < 1e-7
+    res = find_conditional_mode(ctx, theta.as_array()[None])
+    assert res.found[0] and res.grad_norm[0] < 1e-7
 
-    dim = res.x.size
+    dim = res.x.shape[1]
     opt = optimize.minimize(
         lambda x: -ctx.joint_log_posterior(x, theta),
         np.zeros(dim),
         method="BFGS",
         options={"gtol": 1e-9, "maxiter": 2000},
     )
-    np.testing.assert_allclose(res.x, opt.x, rtol=2e-5, atol=2e-6)
-    assert res.logpost == pytest.approx(-opt.fun, rel=1e-10)
+    np.testing.assert_allclose(res.x[0], opt.x, rtol=2e-5, atol=2e-6)
+    assert res.logpost[0] == pytest.approx(-opt.fun, rel=1e-10)
+
+
+@pytest.mark.parametrize("random", ["intercept", "intercept+slope"])
+def test_batched_modes_match_per_point_modes(random):
+    """One batch of five hyper points, every block started from the latent
+    mode at the first, against five single-point solves from the origin.
+    The Newton stopping rule ends a search once its step promises less than
+    1e-12 (1 + |f|), so a mode may sit about sqrt(2e-12 (1 + |f|)) from the
+    exact one where the curvature is near 1, and the Laplace value moves
+    with it through log det(-H); both, and the relative error of the fixed
+    effects' conditional covariance, are held to 2e-6 sqrt(1 + |f|)."""
+    study = simulate_study(seed=2, n_groups=8, n_total=120, random=random)
+    ctx = ModelContext(study.data, study.spec, default_priors(study.spec))
+    start = moment_start(ctx.y, ctx.q).as_array()
+    thetas = start + np.linspace(-1.0, 1.0, 5)[:, None] * np.linspace(0.5, 1.0, start.size)
+    first = find_conditional_mode(ctx, thetas[:1])
+    batch = find_conditional_mode(ctx, thetas, np.tile(first.x[0], (len(thetas), 1)))
+    assert batch.found.all()
+    for i, theta in enumerate(thetas):
+        one = find_conditional_mode(ctx, theta[None])
+        tol = 2e-6 * np.sqrt(1.0 + abs(one.logpost[0]))
+        np.testing.assert_allclose(batch.x[i], one.x[0], rtol=0.0, atol=tol)
+        assert batch.laplace[i] == pytest.approx(one.laplace[0], rel=0.0, abs=tol)
+        np.testing.assert_allclose(batch.conditional(i).v_xx, one.conditional(0).v_xx,
+                                   rtol=tol)
+
+
+def test_point_its_chunk_does_not_find_takes_the_per_point_path(monkeypatch):
+    study = simulate_study(seed=9, n_groups=6, n_total=90)
+    opts = LaplaceOptions(compute_gof=False)
+    plain = fit_laplace(study.data, study.spec, options=opts).theta_grid
+    solve = laplace.find_conditional_mode
+    dropped, single = set(), []
+
+    def every_other_block_unfound(ctx, thetas, x0=None):
+        res = solve(ctx, thetas, x0)
+        if len(thetas) > 1:
+            res.found[::2] = False
+            dropped.update(tuple(t) for t in thetas[::2])
+        else:
+            single.append(tuple(thetas[0]))
+        return res
+
+    monkeypatch.setattr(laplace, "find_conditional_mode", every_other_block_unfound)
+    grid = fit_laplace(study.data, study.spec, options=opts).theta_grid
+    assert dropped and dropped <= set(single)
+    kept = {tuple(t) for t in grid.theta}
+    assert dropped & kept
+    np.testing.assert_array_equal(grid.theta, plain.theta)
+    np.testing.assert_allclose(grid.logpost, plain.logpost, rtol=0.0, atol=1e-5)
 
 
 # -- full-fit properties -------------------------------------------------------

@@ -195,6 +195,26 @@ def test_hyperpoint_log_jacobian_matches_finite_differences(hp):
     assert hp.log_jacobian() == pytest.approx(fd_logdet, rel=1e-6, abs=1e-6)
 
 
+@pytest.mark.parametrize("raneff", [(), (2.3,), (0.3, -1.2, 0.7), (4.0, 6.0, -2.0),
+                                    (0.3, -1.2, 15.0), (4.0, 6.0, -15.0)])
+def test_precision_logdet_is_closed_form(raneff):
+    """log det Q = u1 (q = 1) and u1 + u2 + 2 log cosh z (q = 2).  Against
+    slogdet the tolerance is 1e-15 / (1 - tanh(z)^2): forming Q's
+    determinant cancels that many digits, 2.7e-3 at |z| = 15, so there the
+    closed form is held to the cosh identity instead."""
+    hp = HyperPoint(1.0, raneff)
+    got = hp.precision_logdet()
+    if hp.q == 0:
+        assert got == 0.0 and hp.precision_matrix() is None
+        return
+    z = raneff[2] if hp.q == 2 else 0.0
+    sign, ref = np.linalg.slogdet(hp.precision_matrix())
+    assert sign == 1.0
+    assert got == pytest.approx(ref, abs=1e-15 / (1.0 - np.tanh(z) ** 2))
+    exact = sum(raneff[:2]) + (2.0 * np.log(np.cosh(z)) if hp.q == 2 else 0.0)
+    assert got == pytest.approx(exact, rel=1e-14)
+
+
 def test_hyperpoint_validation():
     with pytest.raises(DomainError):
         HyperPoint.from_natural(-1.0)
@@ -225,10 +245,11 @@ def test_joint_gradient_hessian_match_finite_differences(q, rng):
         1: HyperPoint.from_natural(80.0, 40.0),
         2: HyperPoint.from_natural(80.0, 40.0, 300.0, 0.3),
     }[q]
+    thetas = theta.as_array()[None]
     for _ in range(4):
         x = rng.normal(scale=0.3, size=dim)
-        g, h_block = ctx.grad_hessian(x, theta)
-        dense = h_block.to_dense()
+        (g,), h_block = ctx.grad_hessian(x[None], thetas)
+        (dense,) = h_block.to_dense()
         np.testing.assert_allclose(dense, dense.T, atol=1e-10)
         eps = 1e-6
         fd_g = np.empty(dim)
@@ -241,8 +262,8 @@ def test_joint_gradient_hessian_match_finite_differences(q, rng):
                 ctx.joint_log_posterior(up, theta)
                 - ctx.joint_log_posterior(dn, theta)
             ) / (2 * eps)
-            gu, _ = ctx.grad_hessian(up, theta)
-            gd, _ = ctx.grad_hessian(dn, theta)
+            (gu,), _ = ctx.grad_hessian(up[None], thetas)
+            (gd,), _ = ctx.grad_hessian(dn[None], thetas)
             fd_h[:, j] = (gu - gd) / (2 * eps)
         np.testing.assert_allclose(g, fd_g, rtol=2e-5, atol=2e-5)
         np.testing.assert_allclose(dense, 0.5 * (fd_h + fd_h.T), rtol=5e-4, atol=5e-4)
@@ -271,12 +292,62 @@ def test_block_hessian_cholesky_matches_dense(rng):
     ctx = ModelContext(data, spec, priors)
     theta = HyperPoint.from_natural(60.0, 20.0)
     x = rng.normal(scale=0.2, size=len(ctx.latent_names))
-    _, h_block = ctx.grad_hessian(x, theta)
-    dense = h_block.to_dense()
+    _, h_block = ctx.grad_hessian(x[None], theta.as_array()[None])
+    (dense,) = h_block.to_dense()
     # negative Hessian of a log-concave target is positive definite
     chol = (-h_block).cholesky()
+    assert chol.ok.tolist() == [True]
     logdet_dense = np.linalg.slogdet(-dense)[1]
-    assert chol.logdet() == pytest.approx(logdet_dense, rel=1e-10)
+    assert chol.logdet()[0] == pytest.approx(logdet_dense, rel=1e-10)
+
+
+_THETAS = {
+    0: [HyperPoint.from_natural(p) for p in (30.0, 80.0, 300.0)],
+    1: [HyperPoint.from_natural(p, t) for p, t in ((30.0, 5.0), (80.0, 40.0), (300.0, 400.0))],
+    2: [HyperPoint.from_natural(p, t1, t2, c) for p, t1, t2, c in
+        ((30.0, 5.0, 50.0, -0.6), (80.0, 40.0, 300.0, 0.3), (300.0, 400.0, 20.0, 0.9))],
+}
+
+
+@pytest.mark.parametrize("q", [0, 1, 2])
+def test_batched_block_cholesky_matches_dense(q, rng):
+    """Three different negative Hessians in one stack: log determinants,
+    solves and the inverse's pieces each match dense numpy."""
+    ctx = ModelContext(*_toy(q=q))
+    thetas = np.array([hp.as_array() for hp in _THETAS[q]])
+    x = rng.normal(scale=0.2, size=(3, ctx.n_latent))
+    _, h_block = ctx.grad_hessian(x, thetas)
+    neg = -h_block
+    dense = neg.to_dense()
+    chol = neg.cholesky()
+    assert chol.ok.tolist() == [True] * 3
+    np.testing.assert_allclose(chol.logdet(), np.linalg.slogdet(dense)[1], rtol=1e-12)
+    rhs = rng.normal(size=(3, ctx.n_latent))
+    np.testing.assert_allclose(chol.solve(rhs), np.linalg.solve(dense, rhs[..., None])[..., 0],
+                               rtol=1e-9, atol=1e-12)
+    v_bb, c_bx, v_xx = chol.inverse_pieces()
+    inv = np.linalg.inv(dense)
+    nb = ctx.n_groups * q
+    np.testing.assert_allclose(v_xx, inv[:, nb:, nb:], rtol=1e-9, atol=1e-12)
+    for i in range(neg.n_blocks):
+        rows = slice(i * q, (i + 1) * q)
+        np.testing.assert_allclose(v_bb[:, i], inv[:, rows, rows], rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(c_bx[:, i], inv[:, rows, nb:], rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_batched_cholesky_masks_only_the_indefinite_matrix(q, rng):
+    ctx = ModelContext(*_toy(q=q))
+    thetas = np.array([hp.as_array() for hp in _THETAS[q]])
+    x = rng.normal(scale=0.2, size=(3, ctx.n_latent))
+    _, h_block = ctx.grad_hessian(x, thetas)
+    neg = -h_block
+    neg.bb[1, 0] *= -1.0  # one block of the second matrix turns indefinite
+    chol = neg.cholesky()
+    assert chol.ok.tolist() == [True, False, True]
+    alone = model.BlockSymmetric(neg.bb[2:], neg.bx[2:], neg.xx[2:]).cholesky()
+    assert chol.logdet()[2] == alone.logdet()[0]
+    assert np.all(np.isfinite(chol.solve(rng.normal(size=(3, ctx.n_latent)))))
 
 
 def test_flat_intercept_prior_translation_invariance():
