@@ -47,6 +47,7 @@ from .density import MarginalDensity, kde_density
 from .distributions import LOG_2PI, DomainError
 from .model import (
     COORD_CAP,
+    NEWTON_TOL,
     TRANSFORMS,
     BlockCholesky,
     Dataset,
@@ -136,7 +137,10 @@ def find_conditional_mode(ctx: ModelContext, thetas: np.ndarray,
         nonlocal chol
         grad, hess = ctx.grad_hessian(x, thetas)
         chol = (-hess).cholesky()
-        return grad, chol.solve(grad), chol.ok
+        # once every block passes the gradient test no step is taken, so
+        # none is solved for
+        done = np.abs(grad).max() < NEWTON_TOL
+        return grad, (grad if done else chol.solve(grad)), chol.ok
 
     x = np.zeros((len(thetas), ctx.n_latent)) if x0 is None else x0
     asc = newton_ascent(values, newton, x)
@@ -222,12 +226,12 @@ def _optimize_mode(fn, theta0: np.ndarray) -> np.ndarray:
 
 def explore_theta(
     logpost_fn: Callable[[np.ndarray], float],
+    logpost_many: Callable[[np.ndarray, np.ndarray], Sequence[float]],
     theta0: Sequence[float],
     names: Sequence[str],
     transforms: Sequence[str],
     step: float = 0.75,
     cutoff: float = 6.0,
-    logpost_many: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
 ) -> ThetaGrid:
     """Locate the hyperparameter mode and lay the standardized grid.
 
@@ -239,8 +243,8 @@ def explore_theta(
     the list depends only on the curvature), and evaluated in one call of
     ``logpost_many(points, mode)``, which returns the log posterior at the
     rows of ``points``; the hyper mode is passed so that a warm-started
-    evaluator can start there.  Without ``logpost_many`` the points are
-    evaluated one by one by ``logpost_fn``.
+    evaluator can start there.  The mode search, the curvature probes and
+    the axis scans call ``logpost_fn`` one point at a time.
     """
     theta0 = np.asarray(theta0, dtype=float)
     m = theta0.size
@@ -301,11 +305,7 @@ def explore_theta(
         if zidx not in values and 0.5 * float(z @ curv_z @ z) <= prune_at:
             pending.append(zidx)
     points = at(np.array(pending, dtype=float).reshape(-1, m))
-    if logpost_many is None:
-        pending_values = [logpost_fn(theta) for theta in points]
-    else:
-        pending_values = logpost_many(points, mode)
-    values.update(zip(pending, pending_values))
+    values.update(zip(pending, logpost_many(points, mode)))
 
     # the grid proper drops everything more than `cutoff` below the mode
     # (axis-scan stop points included); the mode always stays
@@ -457,7 +457,7 @@ class FitResult:
 #: benchmark studies and raised the peak memory of the latter by about 6 MB
 CHUNK_ROWS = 16_384
 
-_SOLVE_ERRORS = (ModeConvergenceError, np.linalg.LinAlgError, DomainError, OverflowError)
+_SOLVE_ERRORS = (ModeConvergenceError, DomainError, OverflowError)
 
 
 def _key(theta_arr: np.ndarray) -> tuple[float, ...]:
@@ -562,12 +562,12 @@ def fit_laplace(
     objective = _ThetaObjective(ctx)
     grid = explore_theta(
         objective,
+        objective.many,
         moment_start(ctx.y, ctx.q).as_array(),
         names=ctx.hyper_names,
         transforms=ctx.hyper_transforms,
         step=opts.step,
         cutoff=opts.cutoff,
-        logpost_many=objective.many,
     )
     t_grid = time.perf_counter()
 

@@ -31,6 +31,11 @@ PARAMS = ("beta_intercept", "beta_size_Medium", "beta_size_Small", "beta_income"
 # -- grid explorer on closed-form targets -------------------------------------
 
 
+def _each(logpost):
+    """The product-stage evaluator of ``explore_theta``, one point at a time."""
+    return lambda points, _mode: [logpost(theta) for theta in points]
+
+
 def test_gaussian_target_recovers_marginals_and_evidence():
     """A correlated 2-d Gaussian in identity coordinates is an exact oracle:
     the axis marginals are known and the evidence offset is planted."""
@@ -44,12 +49,11 @@ def test_gaussian_target_recovers_marginals_and_evidence():
         d = th - mean
         return offset + norm_const - 0.5 * d @ prec @ d
 
-    coarse = explore_theta(logpost, mean + 0.9, ("a", "b"), ("identity", "identity"))
+    names, tr = ("a", "b"), ("identity", "identity")
+    coarse = explore_theta(logpost, _each(logpost), mean + 0.9, names, tr)
     assert grid_log_evidence(coarse) == pytest.approx(offset, abs=1e-2)
     # a wider cutoff removes the tail-truncation floor on full-support oracles
-    grid = explore_theta(
-        logpost, mean + 0.9, ("a", "b"), ("identity", "identity"), step=0.35, cutoff=12.0
-    )
+    grid = explore_theta(logpost, _each(logpost), mean + 0.9, names, tr, step=0.35, cutoff=12.0)
     assert grid_log_evidence(grid) == pytest.approx(offset, abs=1e-2)
     for j in range(2):
         sd = np.sqrt(cov[j, j])
@@ -71,7 +75,9 @@ def test_gamma_target_on_log_axis():
         tau = np.exp(u[0])
         return offset + gamma_logpdf(tau, g) + u[0]
 
-    grid = explore_theta(logpost, [np.log(55.0)], ("tau",), ("exp",), step=0.35, cutoff=12.0)
+    grid = explore_theta(
+        logpost, _each(logpost), [np.log(55.0)], ("tau",), ("exp",), step=0.35, cutoff=12.0
+    )
     assert grid_log_evidence(grid) == pytest.approx(offset, abs=1e-2)
     got = marginal_hyper(grid, 0)
     xs = np.linspace(stats.gamma.ppf(1e-7, 30.0, scale=2.0), stats.gamma.ppf(1 - 1e-9, 30.0, scale=2.0), 3001)
@@ -85,9 +91,9 @@ def test_explorer_grid_grows_with_finer_step_and_wider_cutoff():
         return -0.5 * float(th[0] ** 2 + th[1] ** 2)
 
     names, tr = ("a", "b"), ("identity", "identity")
-    base = explore_theta(logpost, np.zeros(2), names, tr, step=0.5, cutoff=4.0)
-    finer = explore_theta(logpost, np.zeros(2), names, tr, step=0.25, cutoff=4.0)
-    wider = explore_theta(logpost, np.zeros(2), names, tr, step=0.5, cutoff=8.0)
+    base = explore_theta(logpost, _each(logpost), np.zeros(2), names, tr, step=0.5, cutoff=4.0)
+    finer = explore_theta(logpost, _each(logpost), np.zeros(2), names, tr, step=0.25, cutoff=4.0)
+    wider = explore_theta(logpost, _each(logpost), np.zeros(2), names, tr, step=0.5, cutoff=8.0)
     assert base.size < finer.size
     assert base.size < wider.size
     # weights are a proper distribution over retained points
