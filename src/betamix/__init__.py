@@ -34,13 +34,12 @@ from .priors import (
     elicit_gamma_prior,
     elicited_range_roundtrip,
 )
-from .selection import CpoResult, ModelComparison, compare_models, cpo, dic, log_marginal_likelihood
+from .selection import CpoResult, ModelComparison, compare_models, cpo, dic
 from .sensitivity import (
     SensitivityReport,
     calibrate_prior,
     gamma_hellinger_closed,
     hellinger,
-    sensitivity_ratio,
     sensitivity_scan,
 )
 from .simulate import SimulatedStudy, SimulationTruth, simulate_study
@@ -84,12 +83,10 @@ __all__ = [
     "hellinger",
     "kde_density",
     "load_csv",
-    "log_marginal_likelihood",
     "marginal_loglik",
     "ml_fit",
     "profile_interval",
     "run_mcmc",
-    "sensitivity_ratio",
     "sensitivity_scan",
     "simulate_study",
     "__version__",

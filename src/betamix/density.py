@@ -88,12 +88,6 @@ class MarginalDensity:
         t = min(max(t, 0.0), h)
         return float(x[i] + t)
 
-    def prob_interval(self, lo: float, hi: float) -> float:
-        """Probability mass on the closed interval [lo, hi]."""
-        if hi < lo:
-            raise ValueError("interval must have lo <= hi")
-        return max(0.0, self.cdf(hi) - self.cdf(lo))
-
     def equal_tail_interval(self, level: float = 0.95) -> tuple[float, float]:
         alpha = (1.0 - level) / 2.0
         return self.quantile(alpha), self.quantile(1.0 - alpha)

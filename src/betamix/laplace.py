@@ -195,11 +195,8 @@ class ThetaGrid:
     logpost: np.ndarray  # (T,) unnormalized log posterior
     weights: np.ndarray  # (T,) normalized
     mode: np.ndarray  # (m,)
-    mode_logpost: float
-    curvature: np.ndarray  # (m, m) negative Hessian at the mode
     sigma: np.ndarray  # (m,) axis standardization scales
     step: float
-    cutoff: float
     names: tuple[str, ...]
     transforms: tuple[str, ...]
     cell_log_volume: float
@@ -323,11 +320,8 @@ def explore_theta(
         logpost=logpost,
         weights=w,
         mode=mode,
-        mode_logpost=f_mode,
-        curvature=curv,
         sigma=sigma,
         step=step,
-        cutoff=cutoff,
         names=tuple(names),
         transforms=tuple(transforms),
         cell_log_volume=cell_log_volume,
@@ -400,10 +394,23 @@ def marginal_latent(grid: ThetaGrid, k: int, n_blocks: int, q: int, grid_points:
 
 @dataclass(frozen=True)
 class LaplaceOptions:
+    """Grid step and cutoff (standardized units, log-density drop), points
+    per marginal, gof switch.  Bad values raise ``DomainError`` here, not as
+    an unrelated error after the hyper-mode search."""
+
     step: float = 0.75
     cutoff: float = 6.0
     grid_points: int = 401
     compute_gof: bool = True
+
+    def __post_init__(self) -> None:
+        for name in ("step", "cutoff"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0.0):
+                raise DomainError(f"{name} must be finite and positive, got {value!r}")
+        if not (isinstance(self.grid_points, (int, np.integer)) and self.grid_points >= 2):
+            raise DomainError(f"grid_points must be an integer of at least 2, got "
+                              f"{self.grid_points!r}")
 
 
 @dataclass

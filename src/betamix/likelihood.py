@@ -7,11 +7,13 @@ beta densities; with random effects each group contributes a q dimensional
 integral that is approximated by Laplace's method around the group's own
 conditional mode (Rue, Martino & Chopin 2009).  The modes come from the
 core's damped Newton (``model.newton_ascent``, as for the Laplace joint
-mode) with all groups as blocks and their q x q systems solved in closed
-form, warm started between evaluations because the optimizer visits nearby
-parameter values.  The design, link derivatives, row likelihood, hyper
-names, log det Q, coordinate cap, value outside the support, start point
-and outer search come from the model core.
+mode) with all groups as blocks, warm started between evaluations because
+the optimizer visits nearby parameter values.  Their q x q curvatures are
+factored by the core's masked batched Cholesky, the one that factors the
+Laplace block Hessians, so no step of the engine depends on q.  The design,
+link derivatives, row likelihood, hyper names, log det Q, coordinate cap,
+value outside the support, start point and outer search come from the
+model core.
 
 ``ml_fit`` maximizes the marginal log likelihood over the unconstrained
 vector (fixed effects, log phi, log tau, and atanh rho when present) by BFGS
@@ -48,6 +50,8 @@ from .model import (
     ModeConvergenceError,
     ModelContext,
     ModelSpec,
+    _chol_solve,
+    _cholesky,
     eta_derivs,
     fd_curvature,
     group_sums,
@@ -96,13 +100,15 @@ class _MarginalLoglik:
         """Sum over groups of the Laplace-integrated group likelihoods.
 
         The group modes come from one ``model.newton_ascent`` over all N
-        groups: each iteration evaluates every row in one pass and solves the
-        N q x q systems in closed form.  Raises ``ModeConvergenceError`` when
-        any group ends away from a mode.
+        groups: each iteration evaluates every row in one pass and factors
+        the N q x q negative Hessians with the core's masked Cholesky, whose
+        mask is the positive-definiteness test and whose diagonal gives the
+        log determinants.  Raises ``ModeConvergenceError`` when any group
+        ends away from a mode.
         """
         Z, starts, groups, y = self.ctx.Z, self.ctx.group_starts, self.ctx.groups, self.ctx.y
         q_mat, phi = hp.precision_matrix(), hp.phi
-        det = None
+        chol = None
 
         def values(b):
             eta = eta0 + (Z * b[groups]).sum(axis=1)
@@ -110,21 +116,21 @@ class _MarginalLoglik:
             return np.add.reduceat(rows, starts) - 0.5 * ((b @ q_mat) * b).sum(axis=1)
 
         def newton(b):
-            nonlocal det
+            nonlocal chol
             eta = eta0 + (Z * b[groups]).sum(axis=1)
             s, w = eta_derivs(self.link, y, eta, phi)
             zs, zwz = group_sums(Z, starts, s, w)
-            grad, curv = zs - b @ q_mat, q_mat - zwz
-            det = _block_det(curv)
-            spd = (curv[:, 0, 0] > 0.0) & (det > 0.0)
-            return grad, _block_solve(curv, grad, np.where(spd, det, 1.0)), spd
+            grad = zs - b @ q_mat
+            chol, spd = _cholesky(q_mat - zwz)
+            return grad, _chol_solve(chol, grad[..., None])[..., 0], spd
 
         asc = newton_ascent(values, newton, self._warm)
         if not asc.found.all():
             raise ModeConvergenceError(f"{np.count_nonzero(~asc.found)} group modes not found")
         self._warm = asc.x
+        # -1/2 log det of each group's curvature is -sum log diag of its factor
         return float(np.sum(asc.value) + asc.x.shape[0] * (0.5 * hp.precision_logdet())
-                     - 0.5 * np.sum(np.log(det)))
+                     - np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2))))
 
     def __call__(self, v: np.ndarray) -> float:
         self.n_calls += 1
@@ -141,22 +147,6 @@ class _MarginalLoglik:
             return self._group_integrals(eta0, hp)
         except (ModeConvergenceError, DomainError):
             return out_of_support(v)
-
-
-def _block_det(m: np.ndarray) -> np.ndarray:
-    """Determinants of a stack of 1 x 1 or 2 x 2 matrices (N, q, q)."""
-    if m.shape[1] == 1:
-        return m[:, 0, 0]
-    return m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
-
-
-def _block_solve(m: np.ndarray, rhs: np.ndarray, det: np.ndarray) -> np.ndarray:
-    """Solve the stacked 1 x 1 or 2 x 2 systems ``m x = rhs`` by Cramer's rule."""
-    if m.shape[1] == 1:
-        return rhs / det[:, None]
-    x0 = m[:, 1, 1] * rhs[:, 0] - m[:, 0, 1] * rhs[:, 1]
-    x1 = m[:, 0, 0] * rhs[:, 1] - m[:, 1, 0] * rhs[:, 0]
-    return np.stack([x0, x1], axis=1) / det[:, None]
 
 
 def marginal_loglik(beta, theta: HyperPoint, data: Dataset, spec: ModelSpec) -> float:

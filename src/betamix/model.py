@@ -42,9 +42,12 @@ unconstrained-to-natural transforms with their derivatives (``TRANSFORMS``),
 log det Q (:meth:`HyperPoint.precision_logdet`), the coordinate cap
 ``COORD_CAP`` and the value outside the support (``out_of_support``), the
 moment start point, the outer search (``maximize``), the two-stage
-finite-difference curvature at its optimum (``fd_curvature``) and the damped
+finite-difference curvature at its optimum (``fd_curvature``), the damped
 Newton search for conditional modes (``newton_ascent``), with its one
-acceptance rule and one failure, ``ModeConvergenceError``.
+acceptance rule and one failure, ``ModeConvergenceError``, and the masked
+batched Cholesky of small symmetric stacks (``_cholesky``, ``_chol_solve``),
+which factors both the Laplace block Hessians and the likelihood engine's
+per-group curvatures.
 """
 
 from __future__ import annotations
@@ -426,12 +429,6 @@ class HyperPoint:
     def phi(self) -> float:
         return float(np.exp(self.log_phi))
 
-    @property
-    def log_tau(self) -> float:
-        if self.q != 1:
-            raise DomainError("log_tau only exists for one random term")
-        return self.raneff[0]
-
     def as_array(self) -> np.ndarray:
         return np.array([self.log_phi, *self.raneff], dtype=float)
 
@@ -486,10 +483,6 @@ class HyperPoint:
     def precision_logdet(self) -> float:
         """log det Q in closed form (:func:`precision_logdets`)."""
         return float(precision_logdets(self.raneff))
-
-    def log_jacobian(self) -> float:
-        """log |d(natural)/d(unconstrained)| (:func:`log_jacobians`)."""
-        return float(log_jacobians(self.as_array()))
 
 
 def log_jacobians(thetas: np.ndarray) -> np.ndarray:
@@ -858,14 +851,20 @@ def _cholesky(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     chol = np.zeros_like(a)
     ok = np.ones(a.shape[:-2], dtype=bool)
     for j in range(k):
+        # an empty sum subtracts exactly 0.0: skipping it changes no bit and
+        # saves numpy calls, which dominate on small stacks
         row = chol[..., j, :j]
-        pivot = a[..., j, j] - np.sum(row * row, axis=-1)
+        pivot = a[..., j, j]
+        if j:
+            pivot = pivot - np.sum(row * row, axis=-1)
         good = pivot > 0.0
         ok &= good
         d = np.sqrt(np.where(good, pivot, 1.0))
         chol[..., j, j] = d
         if j + 1 < k:
-            below = a[..., j + 1 :, j] - np.sum(chol[..., j + 1 :, :j] * row[..., None, :], axis=-1)
+            below = a[..., j + 1 :, j]
+            if j:
+                below = below - np.sum(chol[..., j + 1 :, :j] * row[..., None, :], axis=-1)
             chol[..., j + 1 :, j] = below / d[..., None]
     return chol, ok
 
@@ -878,11 +877,15 @@ def _chol_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     k = chol.shape[-1]
     x = np.empty(np.broadcast_shapes(chol.shape[:-2], rhs.shape[:-2]) + rhs.shape[-2:])
     for i in range(k):
-        done = np.sum(chol[..., i, :i, None] * x[..., :i, :], axis=-2)
-        x[..., i, :] = (rhs[..., i, :] - done) / chol[..., i, i, None]
+        part = rhs[..., i, :]
+        if i:
+            part = part - np.sum(chol[..., i, :i, None] * x[..., :i, :], axis=-2)
+        x[..., i, :] = part / chol[..., i, i, None]
     for i in reversed(range(k)):
-        done = np.sum(chol[..., i + 1 :, i, None] * x[..., i + 1 :, :], axis=-2)
-        x[..., i, :] = (x[..., i, :] - done) / chol[..., i, i, None]
+        part = x[..., i, :]
+        if i + 1 < k:
+            part = part - np.sum(chol[..., i + 1 :, i, None] * x[..., i + 1 :, :], axis=-2)
+        x[..., i, :] = part / chol[..., i, i, None]
     return x
 
 

@@ -9,16 +9,17 @@ latent conditionals stored in a :class:`~betamix.laplace.FitResult`:
   each row's linear predictor treated as conditionally Gaussian (its exact
   law under the nested Laplace representation) and integrated by
   Gauss-Hermite quadrature.
-* ``log_marginal_likelihood``: the grid-integrated unnormalized posterior.
-  All proper normalizing constants are kept, so differences are meaningful
-  between models fit by this engine on the same data.
+* the log marginal likelihood: the grid-integrated unnormalized posterior
+  (``laplace.grid_log_evidence``).  All proper normalizing constants are
+  kept, so differences are meaningful between models fit by this engine on
+  the same data.
 * ``cpo``: conditional predictive ordinates through the harmonic identity
   1/CPO_i = E_posterior[1 / f(y_i | eta_i, phi)], with the same grid plus
   Gauss-Hermite expectation evaluated entirely in log space.
 
 ``compare_models`` assembles the Table-style comparison: posterior means of
 the shared parameters and the three criteria, one column per model, with
-CSV and aligned-text export.
+CSV export.
 
 The sign convention for the CPO summary is explicit: ``mean_log`` is the
 average of log CPO_i over observations, so larger (less negative) values
@@ -44,7 +45,6 @@ __all__ = [
     "compare_models",
     "cpo",
     "dic",
-    "log_marginal_likelihood",
 ]
 
 _GH_NODES = 25
@@ -122,13 +122,6 @@ def dic(fit: FitResult) -> tuple[float, float]:
     return d_hat + 2.0 * p_d, p_d
 
 
-def log_marginal_likelihood(fit: FitResult) -> float:
-    """Grid-integrated evidence; comparable across models on the same data."""
-    if fit.theta_grid is None:
-        raise DomainError("fit carries no hyperparameter grid")
-    return grid_log_evidence(fit.theta_grid)
-
-
 @dataclass(frozen=True)
 class CpoResult:
     """Conditional predictive ordinates in the caller's row order."""
@@ -202,18 +195,6 @@ class ModelComparison:
         out.append(["best DIC", *["*" if m == self.best_dic else "" for m in self.model_names]])
         return out
 
-    def to_text(self) -> str:
-        rows = self.rows()
-        widths = [max(len(r[c]) for r in rows) for c in range(len(rows[0]))]
-        lines = []
-        for i, r in enumerate(rows):
-            cells = [r[0].ljust(widths[0])]
-            cells += [r[c].rjust(widths[c]) for c in range(1, len(r))]
-            lines.append("  ".join(cells).rstrip())
-            if i == 0:
-                lines.append("  ".join("-" * w for w in widths))
-        return "\n".join(lines) + "\n"
-
     def write_csv(self, path) -> str:
         with atomic_write(path) as fh:
             csv.writer(fh).writerows(self.rows())
@@ -253,7 +234,7 @@ def compare_models(fits: list[FitResult]) -> ModelComparison:
                 means[j, m] = f.posterior_mean(name)
         gof = f.gof
         if gof is None:
-            lml[m] = log_marginal_likelihood(f)
+            lml[m] = grid_log_evidence(f.theta_grid)
             d, p = dic(f)
             dic_v[m], p_d[m] = d, p
             mlc[m] = cpo(f).mean_log

@@ -45,7 +45,6 @@ __all__ = [
     "calibrate_prior",
     "gamma_hellinger_closed",
     "hellinger",
-    "sensitivity_ratio",
     "sensitivity_scan",
 ]
 
@@ -141,15 +140,6 @@ def calibrate_prior(default: GammaShapeRate, target_h: float) -> GammaShapeRate:
     return out
 
 
-def sensitivity_ratio(
-    post_default: MarginalDensity, post_shifted: MarginalDensity, pri_h: float
-) -> float:
-    """Posterior Hellinger shift divided by the prior Hellinger shift."""
-    if pri_h <= 0.0:
-        raise DomainError("prior Hellinger distance must be positive")
-    return hellinger(post_default, post_shifted) / pri_h
-
-
 @dataclass(frozen=True)
 class ScanRow:
     """One shifted-prior refit: distances, ratio and the refit summary."""
@@ -176,9 +166,6 @@ class SensitivityReport:
     base_prior: GammaShapeRate
     default_summary: dict
     rows: tuple[ScanRow, ...]
-
-    def ok_rows(self) -> list[ScanRow]:
-        return [r for r in self.rows if r.ok]
 
     def table(self) -> list[list[str]]:
         out = [["target", "shape", "rate", "prior_hellinger",

@@ -104,3 +104,17 @@ def test_level_is_checked_before_the_data_and_the_fit(tmp_path, capsys, monkeypa
     assert code == 1
     err = _error_record(capsys)
     assert err["type"] == "DomainError" and "level" in err["message"]
+
+
+def test_bad_grid_step_is_a_json_error_before_the_fit(study_csv, tmp_path, capsys, monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit_laplace ran with grid_step 0")
+
+    monkeypatch.setattr(cli, "fit_laplace", no_fit)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"engine": {"grid_step": 0}}))
+    code = main(["fit", "--data", str(study_csv), "--config", str(config),
+                 "--out-dir", str(tmp_path)])
+    assert code == 1
+    err = _error_record(capsys)
+    assert err["type"] == "DomainError" and "step" in err["message"]

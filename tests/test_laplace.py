@@ -9,7 +9,7 @@ from scipy import integrate, optimize, stats
 
 from betamix import laplace, model
 from betamix.density import MarginalDensity
-from betamix.distributions import GammaShapeRate, gamma_logpdf
+from betamix.distributions import DomainError, GammaShapeRate, gamma_logpdf
 from betamix.laplace import (
     LaplaceOptions,
     ThetaGrid,
@@ -299,12 +299,24 @@ def test_random_slope_fit_has_correlation_marginals():
 def test_interval_mass_is_nominal(default_fit):
     for name in PARAMS:
         lo, hi = default_fit.interval(name, 0.95)
-        assert default_fit.marginal(name).prob_interval(lo, hi) == pytest.approx(0.95, abs=1e-9)
+        m = default_fit.marginal(name)
+        assert m.cdf(hi) - m.cdf(lo) == pytest.approx(0.95, abs=1e-9)
 
 
 def test_unknown_parameter_raises(default_fit):
     with pytest.raises(KeyError):
         default_fit.marginal("beta_wealth")
+
+
+@pytest.mark.parametrize("bad", [{"step": 0.0}, {"step": -0.5}, {"step": np.inf},
+                                 {"cutoff": -1.0}, {"cutoff": np.nan}, {"grid_points": 1},
+                                 {"grid_points": 401.0}],
+                         ids=["step=0", "step<0", "step=inf", "cutoff<0", "cutoff=nan",
+                              "grid_points=1", "grid_points=401.0"])
+def test_bad_options_raise_at_construction(bad):
+    (name,) = bad
+    with pytest.raises(DomainError, match=name):
+        LaplaceOptions(**bad)
 
 
 def test_group_effect_marginal_uses_the_fit_grid_points(default_fit):

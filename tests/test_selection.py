@@ -10,7 +10,7 @@ from betamix.distributions import beta_logpdf_arrays, gamma_logpdf
 from betamix.laplace import LaplaceOptions, fit_laplace
 from betamix.model import Dataset, ModelSpec
 from betamix.priors import default_priors
-from betamix.selection import compare_models, cpo, dic, log_marginal_likelihood
+from betamix.selection import compare_models, cpo, dic
 from betamix.simulate import simulate_study
 
 
@@ -33,9 +33,12 @@ def ladder_fits(signal_study):
     ]
 
 
-def test_lml_function_matches_fit_gof(ladder_fits):
-    for fit in ladder_fits:
-        assert log_marginal_likelihood(fit) == pytest.approx(fit.gof["lml"], abs=1e-9)
+def test_compare_models_recomputes_the_stored_criteria(ladder_fits):
+    stored = compare_models(ladder_fits)
+    fresh = compare_models([replace(f, gof=None, _gof_pass=None) for f in ladder_fits])
+    for key in ("lml", "dic", "p_d", "mean_log_cpo"):
+        np.testing.assert_allclose(getattr(fresh, key), getattr(stored, key), rtol=1e-12,
+                                   err_msg=key)
 
 
 def test_dic_prefers_the_generating_model(ladder_fits):
@@ -143,9 +146,6 @@ def test_compare_models_table(ladder_fits, tmp_path):
     # phi posterior mean rises as structure soaks up dispersion
     i_phi = comp.param_names.index("phi")
     assert comp.means[i_phi, 2] > comp.means[i_phi, 0]
-
-    text = comp.to_text()
-    assert "full" in text and "DIC" in text
 
     out = tmp_path / "comparison.csv"
     comp.write_csv(out)
