@@ -5,7 +5,8 @@ parametrization; the mean follows a link-transformed linear predictor with
 optional group-level random intercepts or intercept+slope pairs.
 
 Three inference engines share one model core: a nested Laplace
-approximation on a hyperparameter grid (fast, deterministic), an adaptive
+approximation over the hyperparameters (a grid for q <= 1, INLA's central
+composite design for q = 2; fast, deterministic), an adaptive
 Metropolis-within-Gibbs sampler (the simulation cross-check), and maximum
 likelihood with profile intervals, whose group integrals are Laplace
 approximations around modes found by one batched Newton over all groups.

@@ -26,7 +26,7 @@ import numpy as np
 from ._io import atomic_write
 from .config import AnalysisConfig, load_csv, write_rows_csv
 from .distributions import DomainError
-from .laplace import fit_laplace
+from .laplace import FitResult, fit_laplace
 from .likelihood import check_level, ml_fit, profile_interval
 from .mcmc import export_chains, run_mcmc
 from .model import Dataset
@@ -102,7 +102,8 @@ def _write_marginal_csvs(fit_like, names, out_dir: Path, kde=False) -> list[str]
     return out
 
 
-def _model_block(config: AnalysisConfig, data: Dataset | None = None) -> dict:
+def _model_block(config: AnalysisConfig, data: Dataset | None = None,
+                 fit: FitResult | None = None) -> dict:
     block = {
         "name": config.model_name or "model",
         "fixed": list(config.fixed),
@@ -112,6 +113,10 @@ def _model_block(config: AnalysisConfig, data: Dataset | None = None) -> dict:
     if data is not None:
         block["n_obs"] = int(data.n)
         block["n_groups"] = int(data.n_groups)
+    if fit is not None:
+        # the rule that integrated the hyperparameters, and its point count
+        block["integration"] = fit.theta_grid.integration
+        block["hyper_points"] = int(fit.theta_grid.size)
     return block
 
 
@@ -147,7 +152,7 @@ def _cmd_fit(config: AnalysisConfig, args, out_dir: Path) -> dict:
         "command": "fit",
         "engine": "laplace",
         "seed": config.seed,
-        "model": _model_block(config, data),
+        "model": _model_block(config, data, fit),
         "parameters": fit.summary(),
         "criteria": dict(fit.gof or {}),
         "timings": {

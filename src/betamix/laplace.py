@@ -3,15 +3,23 @@
 The machinery has two layers.  The generic layer works on any log posterior
 over a low-dimensional (<= 4) unconstrained hyperparameter vector:
 :func:`explore_theta` locates the mode by BFGS on a central-difference
-gradient (``model.maximize``), standardizes axes by the marginal standard
-deviations of the two-stage finite-difference curvature there
-(``model.fd_curvature``), and lays an axis-aligned grid (z-step 0.75) that
-it trims where the log density falls more than 6.0 below the mode;
-:func:`marginal_hyper` collapses the grid along one axis and smooths the log
-weights with a cubic spline before transforming back to the natural scale
-through ``model.TRANSFORMS``, whose derivative gives the Jacobian;
-:func:`grid_log_evidence` integrates the grid.  A hyper-mode search that
-ends unconverged logs a ``WARNING`` on the ``betamix`` logger.
+gradient (``model.maximize``), takes the two-stage finite-difference
+curvature there (``model.fd_curvature``) and lays the integration points.
+With m <= 2 hyperparameters (q = 0, 1) they are an axis-aligned grid
+(z-step 0.75 in units of the marginal standard deviations) trimmed where the
+log density falls more than 6.0 below the mode; with m >= 3 (q = 2) they are
+INLA's central composite design in the eigen-standardized coordinates of the
+curvature, 25 points for m = 4 (Rue, Martino & Chopin 2009, section 6.5), as
+R-INLA's ``int.strategy="auto"`` chooses.  :func:`marginal_hyper` gives the
+marginal of one hyperparameter on its natural scale through
+``model.TRANSFORMS``, whose derivative gives the Jacobian: on a grid it
+collapses the weights along the other axes and smooths the log weights with
+a cubic spline; on a design it smooths seeded draws from INLA's asymmetric
+Gaussian (Martins, Simpson, Lindgren & Rue 2013), whose per-axis scales come
+from probes at z = +-2 along each eigen-axis.  :func:`grid_log_evidence`
+integrates either rule.  A hyper-mode search that ends unconverged, and a
+design point without a value, log a ``WARNING`` on the ``betamix`` logger;
+the latter falls back to the grid.
 
 The model layer supplies that log posterior: for each hyperparameter point
 the core's damped Newton (``model.newton_ascent``, analytic gradient and
@@ -22,12 +30,13 @@ Laplace identity
 
 is evaluated with the block Cholesky factorization.  The mode search, the
 curvature probes and the axis scans solve one point at a time, each warm
-started from the one before.  The product stage of the grid is solved in
-batches: its points go in chunks of ``CHUNK_ROWS // n`` (B points times n
-rows at most 16,384), one ``newton_ascent`` per chunk with one block per
-point, every block started from the latent mode at the hyper mode; a point
-its chunk does not find is solved on its own.  Latent marginals are
-Gaussian mixtures over the grid (no skewness correction).
+started from the one before.  The product stage of the grid and the design
+with its probes are solved in batches: their points go in chunks of
+``CHUNK_ROWS // n`` (B points times n rows at most 16,384), one
+``newton_ascent`` per chunk with one block per point, every block started
+from the latent mode at the hyper mode; a point its chunk does not find is
+solved on its own.  Latent marginals are Gaussian mixtures over the
+integration points (no skewness correction).
 """
 
 from __future__ import annotations
@@ -41,7 +50,7 @@ from itertools import product
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.special import logsumexp, ndtri
 
 from .density import MarginalDensity, kde_density
 from .distributions import LOG_2PI, DomainError
@@ -51,7 +60,6 @@ from .model import (
     TRANSFORMS,
     BlockCholesky,
     Dataset,
-    HyperPoint,
     ModeConvergenceError,
     ModelContext,
     ModelSpec,
@@ -84,6 +92,18 @@ logger = logging.getLogger("betamix")
 MAX_HYPER_DIM = 4
 #: grid steps per direction before an axis scan is truncated
 MAX_AXIS_STEPS = 40
+#: integration rules over theta: ``auto`` is the grid for m <= 2 and the
+#: central composite design for m >= 3
+STRATEGIES = ("auto", "grid", "ccd")
+#: CCD radius factor f0 (R-INLA's default): the off-centre design points lie
+#: at radius f0 sqrt(m) in standardized units
+CCD_F0 = 1.1
+#: standardized distance of the skewness probes along each eigen-axis
+SKEW_PROBE_Z = 2.0
+#: count and seed of the draws behind the asymmetric-Gaussian hyper
+#: marginals; the fixed seed keeps a fit deterministic bit for bit
+SKEW_DRAWS = 4000
+SKEW_SEED = 20130612
 
 
 @dataclass
@@ -188,23 +208,50 @@ class LatentConditional:
 
 @dataclass
 class ThetaGrid:
-    """Evaluated hyperparameter grid with normalized weights."""
+    """Evaluated hyperparameter integration points with normalized weights.
+
+    ``integration`` names the rule.  On a ``"grid"`` the points are
+    ``mode + sigma * z_index * step``; on a ``"ccd"`` design they are
+    ``mode + axes @ z``, and ``scales`` (m, 2) holds the asymmetric-Gaussian
+    scale of each eigen-axis, negative side first.
+    """
 
     theta: np.ndarray  # (T, m) unconstrained coordinates
-    z_index: np.ndarray  # (T, m) integer grid offsets from the mode
     logpost: np.ndarray  # (T,) unnormalized log posterior
     weights: np.ndarray  # (T,) normalized
     mode: np.ndarray  # (m,)
-    sigma: np.ndarray  # (m,) axis standardization scales
-    step: float
     names: tuple[str, ...]
     transforms: tuple[str, ...]
-    cell_log_volume: float
+    log_evidence: float
+    integration: str = "grid"
+    z_index: np.ndarray | None = None  # grid: (T, m) integer offsets from the mode
+    sigma: np.ndarray | None = None  # grid: (m,) axis standardization scales
+    step: float = 0.0
+    axes: np.ndarray | None = None  # ccd: (m, m) eigenvectors over sqrt(eigenvalues)
+    scales: np.ndarray | None = None  # ccd: (m, 2)
     conditionals: list[LatentConditional] | None = None
 
     @property
     def size(self) -> int:
         return self.theta.shape[0]
+
+    @cached_property
+    def hyper_draws(self) -> np.ndarray:
+        """(SKEW_DRAWS, m) fixed-seed draws of theta from the design's
+        asymmetric Gaussian (Martins, Simpson, Lindgren & Rue 2013).
+
+        Eigen-coordinate k is a split normal: N(0, s-^2) below zero and
+        N(0, s+^2) above, continuous at zero, so the two sides hold masses in
+        the ratio s- : s+.  Its uniforms are a seeded Latin hypercube, so
+        every coordinate's quantiles are stratified.
+        """
+        rng = np.random.default_rng(SKEW_SEED)
+        u = (np.array([rng.permutation(SKEW_DRAWS) for _ in self.mode]).T + 0.5) / SKEW_DRAWS
+        lo, hi = self.scales[:, 0], self.scales[:, 1]
+        p = lo / (lo + hi)
+        below = u < p
+        z = ndtri(np.where(below, u / (2.0 * p), 0.5 + (u - p) / (2.0 * (1.0 - p))))
+        return self.mode + (z * np.where(below, lo, hi)) @ self.axes.T
 
     def natural_values(self, j: int) -> np.ndarray:
         return natural_scale(self.theta[:, j], self.transforms[j])
@@ -229,19 +276,25 @@ def explore_theta(
     transforms: Sequence[str],
     step: float = 0.75,
     cutoff: float = 6.0,
+    strategy: str = "auto",
 ) -> ThetaGrid:
-    """Locate the hyperparameter mode and lay the standardized grid.
+    """Locate the hyperparameter mode and lay the integration points.
 
-    Along each standardized axis, points are added in units of ``step`` until
-    the log posterior falls more than ``cutoff`` below the mode; the first
-    point past the cutoff is retained so spline tails are anchored.  The
-    product grid over the per-axis ranges is then listed, without the points
-    whose quadratic prediction is hopeless (predicted drop > 2*cutoff + 6;
-    the list depends only on the curvature), and evaluated in one call of
-    ``logpost_many(points, mode)``, which returns the log posterior at the
-    rows of ``points``; the hyper mode is passed so that a warm-started
-    evaluator can start there.  The mode search, the curvature probes and
-    the axis scans call ``logpost_fn`` one point at a time.
+    ``logpost_many(points, mode)`` returns the log posterior at the rows of
+    ``points``; the hyper mode is passed so that a warm-started evaluator can
+    start there.  The mode search, the curvature probes and the grid's axis
+    scans call ``logpost_fn`` one point at a time.
+
+    Under ``strategy="ccd"``, or ``"auto"`` with m >= 3, the points are the
+    central composite design of :func:`_lay_ccd`, evaluated with its
+    skewness probes in one call of ``logpost_many``.  Otherwise, or when a
+    design point has no value, they are the grid: along each standardized
+    axis, points are added in units of ``step`` until the log posterior
+    falls more than ``cutoff`` below the mode; the first point past the
+    cutoff is retained so spline tails are anchored.  The product grid over
+    the per-axis ranges is then listed, without the points whose quadratic
+    prediction is hopeless (predicted drop > 2*cutoff + 6; the list depends
+    only on the curvature), and evaluated in one call of ``logpost_many``.
     """
     theta0 = np.asarray(theta0, dtype=float)
     m = theta0.size
@@ -249,11 +302,17 @@ def explore_theta(
         raise DomainError(f"at most {MAX_HYPER_DIM} hyperparameters supported, got {m}")
     if len(names) != m or len(transforms) != m:
         raise ValueError("names/transforms must match theta dimension")
+    if strategy not in STRATEGIES:
+        raise DomainError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
 
     mode = _optimize_mode(logpost_fn, theta0)
     f_mode = logpost_fn(mode)
 
     curv, cov = fd_curvature(logpost_fn, mode)
+    if strategy == "ccd" or (strategy == "auto" and m >= 3):
+        design = _lay_ccd(logpost_many, mode, f_mode, curv, names, transforms)
+        if design is not None:
+            return design
     sigma = np.sqrt(np.diag(cov))
 
     values: dict[tuple[int, ...], float] = {tuple([0] * m): f_mode}
@@ -316,38 +375,112 @@ def explore_theta(
 
     return ThetaGrid(
         theta=theta_pts,
-        z_index=z_index,
         logpost=logpost,
         weights=w,
         mode=mode,
-        sigma=sigma,
-        step=step,
         names=tuple(names),
         transforms=tuple(transforms),
-        cell_log_volume=cell_log_volume,
+        log_evidence=float(logsumexp(logpost) + cell_log_volume),
+        z_index=z_index,
+        sigma=sigma,
+        step=step,
+    )
+
+
+def _lay_ccd(
+    logpost_many: Callable[[np.ndarray, np.ndarray], Sequence[float]],
+    mode: np.ndarray,
+    f_mode: float,
+    curv: np.ndarray,
+    names: Sequence[str],
+    transforms: Sequence[str],
+) -> ThetaGrid | None:
+    """Central composite design over theta (Rue, Martino & Chopin 2009, 6.5).
+
+    In the coordinates theta = mode + V L^-1/2 z of the eigendecomposition
+    ``curv`` = V L V', the design is the centre, the 2m axial points at
+    +-f0 sqrt(m) and the 2^m factorial points at +-f0 (f0 = ``CCD_F0``; for
+    m = 1 the two coincide and the axial pair is left out).  Relative to the
+    centre, every other point has the weight
+    exp(m f0^2 / 2) / ((n_p - 1)(f0^2 - 1)), which makes the rule exact for
+    the mass and the second moments of a standard Gaussian in z.  The
+    2m probes at z = +-``SKEW_PROBE_Z`` along the eigen-axes set the
+    asymmetric-Gaussian scales z / sqrt(2 drop) of the hyper marginals.
+    Design and probes are one call of ``logpost_many``.  A point without a
+    finite value inside the support, or a probe not below the mode, logs a
+    ``WARNING`` and returns None.
+    """
+    m = mode.size
+    vals, vecs = np.linalg.eigh(curv)
+    axes = vecs / np.sqrt(vals)
+    eye = np.eye(m)
+    factorial = CCD_F0 * np.array(list(product((-1.0, 1.0), repeat=m)))
+    axial = CCD_F0 * np.sqrt(m) * np.vstack([eye, -eye]) if m > 1 else np.empty((0, m))
+    z = np.vstack([np.zeros((1, m)), axial, factorial, SKEW_PROBE_Z * np.vstack([-eye, eye])])
+    points = mode + z @ axes.T
+    values = np.empty(len(z))
+    values[0] = f_mode
+    values[1:] = logpost_many(points[1:], mode)
+
+    n_p = len(z) - 2 * m
+    drop = f_mode - values[n_p:]
+    failed = ~np.isfinite(values) | (values == [out_of_support(p) for p in points])
+    failed[n_p:] |= ~(drop > 0.0)
+    if failed.any():
+        logger.warning("CCD over %s: %d of %d design points and probes have no value or "
+                       "are probes not below the mode, the first at theta = %s; "
+                       "integrating with the grid", ", ".join(names), np.count_nonzero(failed),
+                       len(z) - 1, np.array2string(points[np.argmax(failed)], precision=4))
+        return None
+
+    f0_sq = CCD_F0 * CCD_F0
+    log_delta = np.full(n_p, 0.5 * m * f0_sq - np.log((n_p - 1) * (f0_sq - 1.0)))
+    log_delta[0] = 0.0
+    a = log_delta + values[:n_p] - f_mode
+    w = np.exp(a - np.max(a))
+    w /= np.sum(w)
+    log_evidence = (f_mode + logsumexp(a) + 0.5 * m * LOG_2PI + np.log((f0_sq - 1.0) / f0_sq)
+                    - 0.5 * float(np.sum(np.log(vals))))
+    return ThetaGrid(
+        theta=points[:n_p],
+        logpost=values[:n_p],
+        weights=w,
+        mode=mode,
+        names=tuple(names),
+        transforms=tuple(transforms),
+        log_evidence=float(log_evidence),
+        integration="ccd",
+        axes=axes,
+        scales=(SKEW_PROBE_Z / np.sqrt(2.0 * drop)).reshape(2, m).T,
     )
 
 
 def grid_log_evidence(grid: ThetaGrid) -> float:
-    """Riemann integral of the unnormalized posterior over the grid.
+    """Integral of the unnormalized posterior over the integration points:
+    a Riemann sum on a grid, the design's weighted sum on a CCD.
 
     Every proper normalizing constant is kept by the joint, so differences of
     this value are comparable across models fit on the same data.
     """
-    return float(logsumexp(grid.logpost) + grid.cell_log_volume)
+    return grid.log_evidence
 
 
 def marginal_hyper(grid: ThetaGrid, j: int, grid_points: int = 401) -> MarginalDensity:
     """Marginal of hyperparameter ``j`` on its natural scale.
 
-    Collapses the grid weights along the other axes, interpolates the log
-    weights with a natural cubic spline on the unconstrained scale, and
-    back-transforms with the Jacobian of the axis transform.
+    On a grid, collapses the weights along the other axes and interpolates
+    the log weights with a natural cubic spline on the unconstrained scale;
+    on a design, smooths the asymmetric-Gaussian draws with ``kde_density``.
+    Either density is back-transformed with the Jacobian of the axis
+    transform.
     """
     from scipy.interpolate import CubicSpline
 
     name = grid.names[j]
     transform = grid.transforms[j]
+    if grid.integration == "ccd":
+        dens = kde_density(grid.hyper_draws[:, j], grid_points=grid_points)
+        return _natural_density(dens.x, dens.pdf, transform, name)
     zvals = grid.z_index[:, j]
     uniq, inv = np.unique(zvals, return_inverse=True)
     pmf = np.zeros(uniq.size)
@@ -365,10 +498,20 @@ def marginal_hyper(grid: ThetaGrid, j: int, grid_points: int = 401) -> MarginalD
         sd = grid.sigma[j]
         fine = np.linspace(grid.mode[j] - 6.0 * sd, grid.mode[j] + 6.0 * sd, grid_points)
         pdf = np.exp(-0.5 * ((fine - grid.mode[j]) / sd) ** 2)
+    return _natural_density(fine, pdf, transform, name)
 
+
+def _natural_density(fine: np.ndarray, pdf: np.ndarray, transform: str,
+                     name: str) -> MarginalDensity:
+    """A density on unconstrained coordinates ``fine``, moved to the natural scale."""
     x_nat = natural_scale(fine, transform)
     return MarginalDensity(x_nat, pdf / np.maximum(TRANSFORMS[transform][1](fine), 1e-300),
                            name=name)
+
+
+def _rho(thetas: np.ndarray) -> np.ndarray:
+    """Random-effect correlation over sqrt(tau1_sq tau2_sq) at q = 2 coordinates."""
+    return np.tanh(thetas[:, 3]) / np.sqrt(np.exp(thetas[:, 1]) * np.exp(thetas[:, 2]))
 
 
 def marginal_latent(grid: ThetaGrid, k: int, n_blocks: int, q: int, grid_points: int,
@@ -394,16 +537,24 @@ def marginal_latent(grid: ThetaGrid, k: int, n_blocks: int, q: int, grid_points:
 
 @dataclass(frozen=True)
 class LaplaceOptions:
-    """Grid step and cutoff (standardized units, log-density drop), points
-    per marginal, gof switch.  Bad values raise ``DomainError`` here, not as
-    an unrelated error after the hyper-mode search."""
+    """Integration rule over theta, grid step and cutoff (standardized units,
+    log-density drop), points per marginal, gof switch.
+
+    ``strategy`` is ``"auto"`` (the grid for m <= 2 hyperparameters, i.e.
+    q = 0 and 1, and the central composite design for m >= 3, i.e. q = 2,
+    as R-INLA's ``int.strategy="auto"``), ``"grid"`` or ``"ccd"``.  ``step``
+    and ``cutoff`` apply to the grid only.  Bad values raise ``DomainError``
+    here, not as an unrelated error after the hyper-mode search."""
 
     step: float = 0.75
     cutoff: float = 6.0
     grid_points: int = 401
     compute_gof: bool = True
+    strategy: str = "auto"
 
     def __post_init__(self) -> None:
+        if self.strategy not in STRATEGIES:
+            raise DomainError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
         for name in ("step", "cutoff"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0.0):
@@ -556,7 +707,8 @@ def fit_laplace(
     options: LaplaceOptions | None = None,
     model_name: str = "",
 ) -> FitResult:
-    """Full nested-Laplace fit: grid, hyper marginals, fixed-effect marginals.
+    """Full nested-Laplace fit: integration points over theta, hyper
+    marginals, fixed-effect marginals.
 
     Deterministic: repeated calls on the same inputs produce identical
     results bit for bit.
@@ -575,6 +727,7 @@ def fit_laplace(
         transforms=ctx.hyper_transforms,
         step=opts.step,
         cutoff=opts.cutoff,
+        strategy=opts.strategy,
     )
     t_grid = time.perf_counter()
 
@@ -589,8 +742,10 @@ def fit_laplace(
     for j, name in enumerate(ctx.hyper_names):
         marginals[name] = marginal_hyper(grid, j, grid_points=opts.grid_points)
     if ctx.q == 2:
-        rho_vals = np.array([HyperPoint.from_array(t).natural()["rho"] for t in grid.theta])
-        marginals["rho"] = kde_density(rho_vals, weights=grid.weights, name="rho")
+        if grid.integration == "ccd":
+            marginals["rho"] = kde_density(_rho(grid.hyper_draws), name="rho")
+        else:
+            marginals["rho"] = kde_density(_rho(grid.theta), weights=grid.weights, name="rho")
     t_marg = time.perf_counter()
 
     fit = FitResult(

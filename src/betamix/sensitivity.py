@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.integrate import quad
@@ -34,7 +34,7 @@ from scipy.special import gammaln
 from ._io import atomic_write
 from .density import MarginalDensity
 from .distributions import DomainError, GammaShapeRate
-from .laplace import FitResult, LaplaceOptions, fit_laplace
+from .laplace import LaplaceOptions, fit_laplace
 from .model import Dataset, ModelSpec
 from .priors import PriorSpec, default_priors
 

@@ -56,6 +56,24 @@ def test_subcommand_writes_a_valid_summary(study_csv, tmp_path, argv, command):
         assert {"('beta', 0)", "('theta',)"} <= set(summary["diagnostics"]["acceptance"])
 
 
+@pytest.mark.parametrize("model, integration",
+                         [({"random": "intercept"}, "grid"),
+                          ({"random": "intercept+slope", "slope_column": "income"}, "ccd")],
+                         ids=["q1", "q2"])
+def test_fit_summary_names_the_integration_rule(study_csv, tmp_path, model, integration):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": model}))
+    out = tmp_path / "out"
+    assert main(["fit", "--data", str(study_csv), "--config", str(config),
+                 "--out-dir", str(out)]) == 0
+    block = _validated(out, "fit")["model"]
+    assert block["integration"] == integration
+    if integration == "ccd":
+        assert block["hyper_points"] == 25
+    else:
+        assert block["hyper_points"] > 25
+
+
 def test_elicit_writes_a_valid_summary(tmp_path):
     assert main(["elicit", "--range", "0.693", "--out-dir", str(tmp_path)]) == 0
     summary = _validated(tmp_path, "elicit")

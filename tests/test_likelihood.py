@@ -6,7 +6,7 @@ from scipy import integrate, optimize
 
 from betamix.distributions import beta_logpdf_arrays
 from betamix.likelihood import marginal_loglik, ml_fit, profile_interval
-from betamix.model import Dataset, HyperPoint, ModelSpec, build_design
+from betamix.model import Dataset, HyperPoint, build_design
 from betamix.simulate import simulate_study
 
 

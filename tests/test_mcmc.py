@@ -8,7 +8,6 @@ import pytest
 
 from betamix.distributions import DomainError
 from betamix.mcmc import (
-    ChainOutput,
     McmcConfig,
     _BetaModelTarget,
     effective_sample_size,
