@@ -230,7 +230,7 @@ def test_q2_design_agrees_with_the_grid(slope_fits, prior):
     grid, ccd = slope_fits[prior]
     assert grid.theta_grid.integration == "grid"
     assert ccd.theta_grid.integration == "ccd" and ccd.theta_grid.size == 25
-    for name in grid.param_names[:-1]:
+    for name in (n for n in grid.param_names if n != "rho"):
         ref, got = grid.marginal(name), ccd.marginal(name)
         if name.startswith("beta_"):
             assert abs(got.mean() - ref.mean()) <= 0.05 * ref.sd(), name
