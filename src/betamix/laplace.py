@@ -63,6 +63,7 @@ from .model import (
     ModeConvergenceError,
     ModelContext,
     ModelSpec,
+    covariance_rho,
     fd_curvature,
     maximize,
     moment_start,
@@ -92,9 +93,6 @@ logger = logging.getLogger("betamix")
 MAX_HYPER_DIM = 4
 #: grid steps per direction before an axis scan is truncated
 MAX_AXIS_STEPS = 40
-#: integration rules over theta: ``auto`` is the grid for m <= 2 and the
-#: central composite design for m >= 3
-STRATEGIES = ("auto", "grid", "ccd")
 #: CCD radius factor f0 (R-INLA's default): the off-centre design points lie
 #: at radius f0 sqrt(m) in standardized units
 CCD_F0 = 1.1
@@ -276,7 +274,6 @@ def explore_theta(
     transforms: Sequence[str],
     step: float = 0.75,
     cutoff: float = 6.0,
-    strategy: str = "auto",
 ) -> ThetaGrid:
     """Locate the hyperparameter mode and lay the integration points.
 
@@ -285,10 +282,10 @@ def explore_theta(
     start there.  The mode search, the curvature probes and the grid's axis
     scans call ``logpost_fn`` one point at a time.
 
-    Under ``strategy="ccd"``, or ``"auto"`` with m >= 3, the points are the
-    central composite design of :func:`_lay_ccd`, evaluated with its
-    skewness probes in one call of ``logpost_many``.  Otherwise, or when a
-    design point has no value, they are the grid: along each standardized
+    With m >= 3 hyperparameters the points are the central composite design
+    of :func:`_lay_ccd`, evaluated with its skewness probes in one call of
+    ``logpost_many``.  With m <= 2, or when a design point has no value,
+    they are the grid: along each standardized
     axis, points are added in units of ``step`` until the log posterior
     falls more than ``cutoff`` below the mode; the first point past the
     cutoff is retained so spline tails are anchored.  The product grid over
@@ -302,14 +299,12 @@ def explore_theta(
         raise DomainError(f"at most {MAX_HYPER_DIM} hyperparameters supported, got {m}")
     if len(names) != m or len(transforms) != m:
         raise ValueError("names/transforms must match theta dimension")
-    if strategy not in STRATEGIES:
-        raise DomainError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
 
     mode = _optimize_mode(logpost_fn, theta0)
     f_mode = logpost_fn(mode)
 
     curv, cov = fd_curvature(logpost_fn, mode)
-    if strategy == "ccd" or (strategy == "auto" and m >= 3):
+    if m >= 3:
         design = _lay_ccd(logpost_many, mode, f_mode, curv, names, transforms)
         if design is not None:
             return design
@@ -509,11 +504,6 @@ def _natural_density(fine: np.ndarray, pdf: np.ndarray, transform: str,
                            name=name)
 
 
-def _rho(thetas: np.ndarray) -> np.ndarray:
-    """Random-effect correlation over sqrt(tau1_sq tau2_sq) at q = 2 coordinates."""
-    return np.tanh(thetas[:, 3]) / np.sqrt(np.exp(thetas[:, 1]) * np.exp(thetas[:, 2]))
-
-
 def marginal_latent(grid: ThetaGrid, k: int, n_blocks: int, q: int, grid_points: int,
                     name: str = "") -> MarginalDensity:
     """Mixture-of-Gaussians marginal of latent component ``k`` over the grid."""
@@ -537,24 +527,21 @@ def marginal_latent(grid: ThetaGrid, k: int, n_blocks: int, q: int, grid_points:
 
 @dataclass(frozen=True)
 class LaplaceOptions:
-    """Integration rule over theta, grid step and cutoff (standardized units,
-    log-density drop), points per marginal, gof switch.
+    """Grid step and cutoff (standardized units, log-density drop), points
+    per marginal, gof switch.
 
-    ``strategy`` is ``"auto"`` (the grid for m <= 2 hyperparameters, i.e.
-    q = 0 and 1, and the central composite design for m >= 3, i.e. q = 2,
-    as R-INLA's ``int.strategy="auto"``), ``"grid"`` or ``"ccd"``.  ``step``
-    and ``cutoff`` apply to the grid only.  Bad values raise ``DomainError``
+    The integration rule over theta follows the number m of hyperparameters,
+    as R-INLA's ``int.strategy="auto"``: the grid for m <= 2 (q = 0 and 1)
+    and the central composite design for m >= 3 (q = 2).  ``step`` and
+    ``cutoff`` apply to the grid only.  Bad values raise ``DomainError``
     here, not as an unrelated error after the hyper-mode search."""
 
     step: float = 0.75
     cutoff: float = 6.0
     grid_points: int = 401
     compute_gof: bool = True
-    strategy: str = "auto"
 
     def __post_init__(self) -> None:
-        if self.strategy not in STRATEGIES:
-            raise DomainError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
         for name in ("step", "cutoff"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0.0):
@@ -727,7 +714,6 @@ def fit_laplace(
         transforms=ctx.hyper_transforms,
         step=opts.step,
         cutoff=opts.cutoff,
-        strategy=opts.strategy,
     )
     t_grid = time.perf_counter()
 
@@ -743,9 +729,10 @@ def fit_laplace(
         marginals[name] = marginal_hyper(grid, j, grid_points=opts.grid_points)
     if ctx.q == 2:
         if grid.integration == "ccd":
-            marginals["rho"] = kde_density(_rho(grid.hyper_draws), name="rho")
+            marginals["rho"] = kde_density(covariance_rho(grid.hyper_draws[:, 1:]), name="rho")
         else:
-            marginals["rho"] = kde_density(_rho(grid.theta), weights=grid.weights, name="rho")
+            marginals["rho"] = kde_density(covariance_rho(grid.theta[:, 1:]),
+                                           weights=grid.weights, name="rho")
     t_marg = time.perf_counter()
 
     fit = FitResult(

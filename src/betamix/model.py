@@ -472,17 +472,22 @@ class HyperPoint:
             out["tau1_sq"] = float(np.exp(self.raneff[0]))
         elif self.q == 2:
             u1, u2, z = self.raneff
-            t1, t2 = float(np.exp(u1)), float(np.exp(u2))
-            c = float(np.tanh(z))
-            out["tau1_sq"] = t1
-            out["tau2_sq"] = t2
-            out["rho_corr"] = c
-            out["rho"] = c / float(np.sqrt(t1 * t2))
+            out["tau1_sq"] = float(np.exp(u1))
+            out["tau2_sq"] = float(np.exp(u2))
+            out["rho_corr"] = float(np.tanh(z))
+            out["rho"] = float(covariance_rho(np.asarray(self.raneff)))
         return out
 
     def precision_logdet(self) -> float:
         """log det Q in closed form (:func:`precision_logdets`)."""
         return float(precision_logdets(self.raneff))
+
+
+def covariance_rho(raneff: np.ndarray) -> np.ndarray:
+    """The reported ``rho`` = rho_corr / sqrt(tau1_sq tau2_sq) at q = 2
+    random-effect coordinates (..., 3) = (u1, u2, z_rho); elementwise."""
+    u1, u2, z = raneff[..., 0], raneff[..., 1], raneff[..., 2]
+    return np.tanh(z) / np.sqrt(np.exp(u1) * np.exp(u2))
 
 
 def log_jacobians(thetas: np.ndarray) -> np.ndarray:
