@@ -28,14 +28,16 @@ Laplace identity
 
     log pi(theta | y)  ~=  joint(x*, theta) + dim/2 log 2 pi - 1/2 logdet(-H)
 
-is evaluated with the block Cholesky factorization.  The mode search, the
-curvature probes and the axis scans solve one point at a time, each warm
-started from the one before.  The product stage of the grid and the design
-with its probes are solved in batches: their points go in chunks of
-``CHUNK_ROWS // n`` (B points times n rows at most 16,384), one
-``newton_ascent`` per chunk with one block per point, every block started
-from the latent mode at the hyper mode; a point its chunk does not find is
-solved on its own.  Latent marginals are Gaussian mixtures over the
+is evaluated with the block Cholesky factorization.  Every stencil of the
+mode search and of the curvature, the product stage of the grid and the
+design with its probes are solved in batches: the centre of a stencil (the
+hyper mode for the grid and the design) is solved first, warm started from
+the point solved before it, and the other points go in chunks of
+``model.chunk_size(n)`` (B points times n rows at most
+``model.CHUNK_ROWS``), one ``newton_ascent`` per chunk with one block per
+point, every block started from the latent mode at the centre; a point its
+chunk does not find is solved on its own.  Only the grid's axis scans solve
+one point at a time.  Latent marginals are Gaussian mixtures over the
 integration points (no skewness correction).
 """
 
@@ -63,6 +65,7 @@ from .model import (
     ModeConvergenceError,
     ModelContext,
     ModelSpec,
+    chunk_size,
     covariance_rho,
     fd_curvature,
     maximize,
@@ -258,9 +261,10 @@ class ThetaGrid:
         return float(np.sum(self.weights * self.natural_values(j)))
 
 
-def _optimize_mode(fn, theta0: np.ndarray) -> np.ndarray:
-    """The hyper mode by ``model.maximize``; an unconverged search is logged."""
-    best = maximize(fn, theta0)
+def _optimize_mode(many, theta0: np.ndarray) -> np.ndarray:
+    """The hyper mode by ``model.maximize`` on the batch evaluator ``many``;
+    an unconverged search is logged."""
+    best = maximize(many, theta0)
     if not best.converged:
         logger.warning("hyper-mode search did not converge: %s", best.message)
     return best.x
@@ -277,10 +281,12 @@ def explore_theta(
 ) -> ThetaGrid:
     """Locate the hyperparameter mode and lay the integration points.
 
-    ``logpost_many(points, mode)`` returns the log posterior at the rows of
-    ``points``; the hyper mode is passed so that a warm-started evaluator can
-    start there.  The mode search, the curvature probes and the grid's axis
-    scans call ``logpost_fn`` one point at a time.
+    ``logpost_many(points, anchor)`` returns the log posterior at the rows
+    of ``points``; ``anchor`` is passed so that a warm-started evaluator can
+    start there.  Each stencil of the mode search (``model.maximize``) and of
+    the curvature (``model.fd_curvature``) is one call, anchored at its
+    centre, row 0; the grid and the design are anchored at the hyper mode.
+    Only the grid's axis scans call ``logpost_fn``, one point at a time.
 
     With m >= 3 hyperparameters the points are the central composite design
     of :func:`_lay_ccd`, evaluated with its skewness probes in one call of
@@ -300,10 +306,13 @@ def explore_theta(
     if len(names) != m or len(transforms) != m:
         raise ValueError("names/transforms must match theta dimension")
 
-    mode = _optimize_mode(logpost_fn, theta0)
+    def stencil(points: np.ndarray) -> Sequence[float]:
+        return logpost_many(points, points[0])
+
+    mode = _optimize_mode(stencil, theta0)
     f_mode = logpost_fn(mode)
 
-    curv, cov = fd_curvature(logpost_fn, mode)
+    curv, cov = fd_curvature(stencil, mode)
     if m >= 3:
         design = _lay_ccd(logpost_many, mode, f_mode, curv, names, transforms)
         if design is not None:
@@ -596,12 +605,6 @@ class FitResult:
         return self._ctx
 
 
-#: bound on B x rows of one batch of conditional-mode solves: B = 44 on 365
-#: rows, 4 on 4,000, so the batch's working arrays stay near 2 MB whatever
-#: the data size; a bound of 65,536 was no faster on the 365- and 4,000-row
-#: benchmark studies and raised the peak memory of the latter by about 6 MB
-CHUNK_ROWS = 16_384
-
 _SOLVE_ERRORS = (ModeConvergenceError, DomainError, OverflowError)
 
 
@@ -642,15 +645,22 @@ class _ThetaObjective:
     def many(self, points: np.ndarray, anchor: np.ndarray) -> np.ndarray:
         """Laplace values at the rows of ``points``.
 
-        The points not yet cached and inside ``COORD_CAP`` are solved in
-        chunks of ``CHUNK_ROWS // n`` points, one ``find_conditional_mode``
-        per chunk with every block started from the latent mode at
-        ``anchor``.  A point that its chunk does not find takes the
-        per-point path of ``__call__``: warm start, origin, out of support.
+        ``anchor`` is solved first, on the per-point path of ``__call__``.
+        The points not yet cached and inside ``COORD_CAP`` are then solved in
+        chunks of ``model.chunk_size(n)`` points, one
+        ``find_conditional_mode`` per chunk with every block started from the
+        latent mode at ``anchor`` (from the warm start when ``anchor`` has
+        none).  A point that its chunk does not find takes the per-point path
+        of ``__call__``: warm start, origin, out of support.
         """
-        size = max(1, CHUNK_ROWS // self.ctx.n)
-        res, i = self.mode_at(anchor)
-        starts = np.tile(res.x[i], (size, 1))
+        size = chunk_size(self.ctx.n)
+        self(anchor)
+        if _key(anchor) in self.modes:
+            res, i = self.modes[_key(anchor)]
+            start = res.x[i]
+        else:
+            start = np.zeros(self.ctx.n_latent) if self.warm is None else self.warm
+        starts = np.tile(start, (size, 1))
         todo = [k for k, theta in enumerate(points)
                 if _key(theta) not in self.modes and np.max(np.abs(theta)) <= COORD_CAP]
         for lo in range(0, len(todo), size):
@@ -681,8 +691,12 @@ def hyper_mode(ctx: ModelContext) -> tuple[np.ndarray, LatentConditional, np.nda
     per-axis standard deviations.  Used to initialize the sampler.
     """
     objective = _ThetaObjective(ctx)
-    mode_arr = _optimize_mode(objective, moment_start(ctx.y, ctx.q).as_array())
-    curv, cov = fd_curvature(objective, mode_arr)
+
+    def stencil(points: np.ndarray) -> np.ndarray:
+        return objective.many(points, points[0])
+
+    mode_arr = _optimize_mode(stencil, moment_start(ctx.y, ctx.q).as_array())
+    curv, cov = fd_curvature(stencil, mode_arr)
     res, i = objective.mode_at(mode_arr)
     return mode_arr, res.conditional(i), curv, np.sqrt(np.diag(cov))
 

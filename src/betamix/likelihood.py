@@ -5,10 +5,14 @@ integrated out of the likelihood rather than sampled or gridded.  For a
 model without random effects the marginal likelihood is a plain product of
 beta densities; with random effects each group contributes a q dimensional
 integral that is approximated by Laplace's method around the group's own
-conditional mode (Rue, Martino & Chopin 2009).  The modes come from the
+conditional mode (Rue, Martino & Chopin 2009).  The evaluator takes a
+stack of K parameter points, so that each central-difference stencil of the
+outer search and of the curvature is one call.  The modes come from the
 core's damped Newton (``model.newton_ascent``, as for the Laplace joint
-mode) with all groups as blocks, warm started between evaluations because
-the optimizer visits nearby parameter values.  Their q x q curvatures are
+mode) with the K N groups as blocks, split into chunks of
+``model.chunk_size(n)`` points.  Every block starts from the modes of the
+previous call's row 0, the stencil centre, because the optimizer visits
+nearby parameter values.  Their q x q curvatures are
 factored by the core's masked batched Cholesky, the one that factors the
 Laplace block Hessians, so no step of the engine depends on q.  The design,
 link derivatives, row likelihood, hyper names, log det Q, coordinate cap,
@@ -47,11 +51,11 @@ from .model import (
     TRANSFORMS,
     Dataset,
     HyperPoint,
-    ModeConvergenceError,
     ModelContext,
     ModelSpec,
     _chol_solve,
     _cholesky,
+    chunk_size,
     eta_derivs,
     fd_curvature,
     group_sums,
@@ -61,6 +65,8 @@ from .model import (
     natural_scale,
     newton_ascent,
     out_of_support,
+    precision_logdets,
+    precision_matrices,
 )
 from .priors import default_priors
 
@@ -81,10 +87,13 @@ _MAX_PROBES = 80
 class _MarginalLoglik:
     """Marginal log likelihood of (beta, hyper) with warm-started group modes.
 
-    Callable on the unconstrained vector ``[beta, log_phi, raneff...]``.
-    Instances hold the model context (design, link and names; its priors
-    never enter) and the previous conditional modes, so repeated
-    evaluations at nearby points cost one or two Newton steps.
+    Callable on a (K, dim) stack of unconstrained vectors
+    ``[beta, log_phi, raneff...]``, returning the K values; a 1-D vector is
+    the case K = 1 and returns a float.  Instances hold the model context
+    (design, link and names; its priors never enter) and the conditional
+    modes of the last row 0 evaluated, so repeated evaluations at nearby
+    points cost one or two Newton steps.  ``n_calls`` counts calls and
+    ``n_points`` the rows evaluated.
     """
 
     def __init__(self, data: Dataset, spec: ModelSpec):
@@ -95,58 +104,93 @@ class _MarginalLoglik:
         self.dim = len(self.names)
         self._warm = np.zeros((ctx.n_groups, self.q))
         self.n_calls = 0
+        self.n_points = 0
 
-    def _group_integrals(self, eta0: np.ndarray, hp: HyperPoint) -> float:
-        """Sum over groups of the Laplace-integrated group likelihoods.
+    def _integrals(self, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """Marginal log likelihoods of the K rows of ``stack`` and their group
+        modes (K, N, q); NaN where a group mode was not found.
 
-        The group modes come from one ``model.newton_ascent`` over all N
-        groups: each iteration evaluates every row in one pass and factors
-        the N q x q negative Hessians with the core's masked Cholesky, whose
-        mask is the positive-definiteness test and whose diagonal gives the
-        log determinants.  Raises ``ModeConvergenceError`` when any group
-        ends away from a mode.
+        Each row's group integrals are Laplace approximations around its
+        group modes, which come from one ``model.newton_ascent`` over all K N
+        group blocks, every block started from the warm state: each
+        iteration evaluates every row of the data for every point in one
+        pass and factors the K N q x q negative Hessians with the core's
+        masked Cholesky, whose mask is the positive-definiteness test and
+        whose diagonal gives the log determinants.
         """
-        Z, starts, groups, y = self.ctx.Z, self.ctx.group_starts, self.ctx.groups, self.ctx.y
-        q_mat, phi = hp.precision_matrix(), hp.phi
+        ctx, k = self.ctx, stack.shape[0]
+        Z, starts, groups, y = ctx.Z, ctx.group_starts, ctx.groups, ctx.y
+        eta0 = np.einsum("np,kp->kn", ctx.X, stack[:, : self.p])
+        phi = np.exp(stack[:, self.p])[:, None]
+        if self.q == 0:
+            return np.sum(loglik_rows(self.link, y, eta0, phi), axis=1), None
+        raneff = stack[:, self.p + 1 :]
+        q_mat = precision_matrices(raneff)
         chol = None
 
+        def blocks(b):
+            b = b.reshape(k, -1, self.q)
+            return b, eta0 + (Z * b[:, groups]).sum(axis=-1)
+
         def values(b):
-            eta = eta0 + (Z * b[groups]).sum(axis=1)
+            b, eta = blocks(b)
             rows = loglik_rows(self.link, y, eta, phi)
-            return np.add.reduceat(rows, starts) - 0.5 * ((b @ q_mat) * b).sum(axis=1)
+            return (np.add.reduceat(rows, starts, axis=1)
+                    - 0.5 * ((b @ q_mat) * b).sum(axis=-1)).ravel()
 
         def newton(b):
             nonlocal chol
-            eta = eta0 + (Z * b[groups]).sum(axis=1)
+            b, eta = blocks(b)
             s, w = eta_derivs(self.link, y, eta, phi)
             zs, zwz = group_sums(Z, starts, s, w)
-            grad = zs - b @ q_mat
-            chol, spd = _cholesky(q_mat - zwz)
-            return grad, _chol_solve(chol, grad[..., None])[..., 0], spd
+            grad = (zs - b @ q_mat).reshape(-1, self.q)
+            chol, spd = _cholesky((q_mat[:, None] - zwz).reshape(-1, self.q, self.q))
+            return grad, _chol_solve(chol, grad[..., None])[..., 0], spd.ravel()
 
-        asc = newton_ascent(values, newton, self._warm)
-        if not asc.found.all():
-            raise ModeConvergenceError(f"{np.count_nonzero(~asc.found)} group modes not found")
-        self._warm = asc.x
+        asc = newton_ascent(values, newton, np.tile(self._warm, (k, 1)))
         # -1/2 log det of each group's curvature is -sum log diag of its factor
-        return float(np.sum(asc.value) + asc.x.shape[0] * (0.5 * hp.precision_logdet())
-                     - np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2))))
+        per_group = asc.value - np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
+        n_groups = ctx.n_groups
+        total = (np.sum(per_group.reshape(k, n_groups), axis=1)
+                 + n_groups * (0.5 * precision_logdets(raneff)))
+        found = asc.found.reshape(k, n_groups).all(axis=1)
+        return np.where(found, total, np.nan), asc.x.reshape(k, n_groups, self.q)
 
-    def __call__(self, v: np.ndarray) -> float:
-        self.n_calls += 1
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.dim,):
-            raise DomainError(f"expected a vector of length {self.dim}")
-        if not np.all(np.isfinite(v)) or float(np.max(np.abs(v))) > COORD_CAP:
-            return out_of_support(v)
-        hp = HyperPoint.from_array(v[self.p :])
-        eta0 = self.ctx.X @ v[: self.p]
-        if self.q == 0:
-            return float(np.sum(loglik_rows(self.link, self.ctx.y, eta0, hp.phi)))
+    def _solve(self, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """``_integrals``, with every row NaN when the batch cannot be evaluated."""
         try:
-            return self._group_integrals(eta0, hp)
-        except (ModeConvergenceError, DomainError):
-            return out_of_support(v)
+            return self._integrals(stack)
+        except DomainError:
+            return np.full(stack.shape[0], np.nan), None
+
+    def __call__(self, v: np.ndarray) -> float | np.ndarray:
+        v = np.asarray(v, dtype=float)
+        if v.ndim not in (1, 2) or v.shape[-1] != self.dim:
+            raise DomainError(f"expected a vector or a stack of vectors of length {self.dim}")
+        stack = v.reshape(-1, self.dim)
+        self.n_calls += 1
+        self.n_points += stack.shape[0]
+        out = np.full(stack.shape[0], np.nan)
+        row0 = None
+        rows = np.flatnonzero(np.isfinite(stack).all(axis=1)
+                              & (np.abs(stack).max(axis=1) <= COORD_CAP))
+        size = chunk_size(self.ctx.n)
+        for lo in range(0, rows.size, size):
+            chunk = rows[lo : lo + size]
+            vals, modes = self._solve(stack[chunk])
+            if chunk[0] == 0 and modes is not None:
+                row0 = modes[0]
+            # a row the batch does not find is retried alone
+            for i in np.flatnonzero(np.isnan(vals)) if chunk.size > 1 else ():
+                (vals[i],), one = self._solve(stack[chunk[i]][None])
+                if chunk[i] == 0 and one is not None:
+                    row0 = one[0]
+            out[chunk] = vals
+        if row0 is not None and not np.isnan(out[0]):
+            self._warm = row0
+        missing = np.flatnonzero(np.isnan(out))
+        out[missing] = [out_of_support(stack[i]) for i in missing]
+        return float(out[0]) if v.ndim == 1 else out
 
 
 def marginal_loglik(beta, theta: HyperPoint, data: Dataset, spec: ModelSpec) -> float:
@@ -277,7 +321,7 @@ def ml_fit(data: Dataset, spec: ModelSpec) -> MLFit:
         n_groups=data.n_groups,
         spec=spec,
         data_fingerprint=data.fingerprint(),
-        n_eval=lik.n_calls,
+        n_eval=lik.n_points,
         message=best.message,
         _lik=lik,
     )
@@ -376,12 +420,12 @@ def profile_interval(fit: MLFit, param: str | int, level: float = 0.95) -> Profi
 
     def profiled(u: float) -> float:
         nonlocal warm
-        best = maximize(lambda w: lik(np.insert(w, j, u)), warm, inv_curv=inv_curv)
+        best = maximize(lambda w: lik(np.insert(w, j, u, axis=1)), warm, inv_curv=inv_curv)
         if best.value > 0.5 * out_of_support(()):
             warm = best.x
         return best.value
 
-    calls_before = lik.n_calls
+    points_before = lik.n_points
     lo_u, hi_u, _ = profile_bounds(
         profiled, float(fit.vector[j]), fit.loglik, se_j, drop,
         t_max=COORD_CAP - 5.0 - abs(float(fit.vector[j])),
@@ -395,5 +439,5 @@ def profile_interval(fit: MLFit, param: str | int, level: float = 0.95) -> Profi
         lower=float(lower),
         upper=float(upper),
         drop=drop,
-        n_eval=lik.n_calls - calls_before,
+        n_eval=lik.n_points - points_before,
     )

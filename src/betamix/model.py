@@ -41,8 +41,11 @@ and its link derivatives (``loglik_rows``, ``eta_derivs``), the
 unconstrained-to-natural transforms with their derivatives (``TRANSFORMS``),
 log det Q (:meth:`HyperPoint.precision_logdet`), the coordinate cap
 ``COORD_CAP`` and the value outside the support (``out_of_support``), the
-moment start point, the outer search (``maximize``), the two-stage
-finite-difference curvature at its optimum (``fd_curvature``), the damped
+moment start point, the outer search (``maximize``) and the two-stage
+finite-difference curvature at its optimum (``fd_curvature``), which both
+take a batch evaluator (a (K, m) stack of points to its K values) and call
+it once per central-difference stencil, the chunk rule by which such an
+evaluator splits a stack (``chunk_size``), the damped
 Newton search for conditional modes (``newton_ascent``), with its one
 acceptance rule and one failure, ``ModeConvergenceError``, and the masked
 batched Cholesky of small symmetric stacks (``_cholesky``, ``_chol_solve``),
@@ -589,32 +592,47 @@ def group_sums(Z: np.ndarray, starts: np.ndarray, s: np.ndarray,
     return zs, zwz
 
 
-def fd_hessian(fn: Callable[[np.ndarray], float], x0: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Central-difference Hessian of ``fn`` at ``x0`` with per-axis steps ``h``.
+#: bound on K x rows of one stacked evaluation: a batch evaluator splits a
+#: stack of K points into chunks of ``chunk_size(n)`` points (44 on 365 rows,
+#: 4 on 4,000), so its working arrays stay near 2 MB whatever the data size;
+#: a bound of 65,536 was no faster on the 365- and 4,000-row benchmark studies
+#: and raised the peak memory of the latter by about 6 MB
+CHUNK_ROWS = 16_384
 
-    The probe order is fixed; callers whose ``fn`` is warm started depend on it.
+
+def chunk_size(n_rows: int) -> int:
+    """Points per chunk of a stacked evaluation on ``n_rows`` data rows."""
+    return max(1, CHUNK_ROWS // n_rows)
+
+
+def fd_hessian(many: Callable[[np.ndarray], np.ndarray], x0: np.ndarray,
+               h: np.ndarray) -> np.ndarray:
+    """Central-difference Hessian at ``x0`` with per-axis steps ``h``.
+
+    One call of ``many`` on the 1 + 2 m^2 probe rows: the centre ``x0``
+    first, then ``x0 + h_i e_i`` and ``x0 - h_i e_i`` for every axis, then
+    the four corners ``x0 +- h_i e_i +- h_j e_j`` of every pair i < j.
     """
     m = x0.size
-    hess = np.zeros((m, m))
-    f0 = fn(x0)
-    for i in range(m):
-        ei = np.zeros(m)
-        ei[i] = h[i]
-        hess[i, i] = (fn(x0 + ei) - 2.0 * f0 + fn(x0 - ei)) / (h[i] * h[i])
-        for j in range(i + 1, m):
-            ej = np.zeros(m)
-            ej[j] = h[j]
-            hess[i, j] = hess[j, i] = (
-                fn(x0 + ei + ej) - fn(x0 + ei - ej) - fn(x0 - ei + ej) + fn(x0 - ei - ej)
-            ) / (4.0 * h[i] * h[j])
+    steps = np.diag(h)
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    corners = [x0 + si * steps[i] + sj * steps[j]
+               for i, j in pairs for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
+    f = np.asarray(many(np.vstack([x0, x0 + steps, x0 - steps, *corners])), dtype=float)
+    f0, f_up, f_down = f[0], f[1 : m + 1], f[m + 1 : 2 * m + 1]
+    hess = np.diag((f_up - 2.0 * f0 + f_down) / (h * h))
+    for (i, j), (pp, pm, mp, mm) in zip(pairs, f[2 * m + 1 :].reshape(-1, 4)):
+        hess[i, j] = hess[j, i] = (pp - pm - mp + mm) / (4.0 * h[i] * h[j])
     return hess
 
 
-def fd_curvature(fn: Callable[[np.ndarray], float], x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Two-stage finite-difference curvature of ``fn`` at its maximum ``x``.
+def fd_curvature(many: Callable[[np.ndarray], np.ndarray],
+                 x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two-stage finite-difference curvature at the maximum ``x``.
 
     A crude pass with steps ``0.05 (1 + |x_i|)`` sets the per-axis scales; a
     second pass with steps of a tenth of those standard deviations refines.
+    Each pass is one call of the batch evaluator ``many`` (:func:`fd_hessian`).
     Steps are capped at 0.5, so a flat direction cannot push a probe into a
     penalty region, and floored at 1e-4.  Eigenvalues are floored at 1e-8
     times the largest, so the curvature is usable on flat directions too.
@@ -623,7 +641,7 @@ def fd_curvature(fn: Callable[[np.ndarray], float], x: np.ndarray) -> tuple[np.n
     x = np.asarray(x, dtype=float)
 
     def floored(h: np.ndarray) -> np.ndarray:
-        vals, vecs = np.linalg.eigh(-fd_hessian(fn, x, h))
+        vals, vecs = np.linalg.eigh(-fd_hessian(many, x, h))
         top = float(np.max(vals))
         if top <= 0.0:
             return np.eye(x.size)
@@ -648,15 +666,18 @@ class Maximum(NamedTuple):
     message: str
 
 
-def maximize(fn: Callable[[np.ndarray], float], x0: np.ndarray,
+def maximize(many: Callable[[np.ndarray], np.ndarray], x0: np.ndarray,
              inv_curv: np.ndarray | None = None) -> Maximum:
-    """Maximize ``fn`` by BFGS on a central-difference gradient.
+    """Maximize by BFGS on a central-difference gradient.
 
     The Laplace and likelihood objectives carry inner Newton solves and are
     smooth only to about 1e-8, so a forward difference at SciPy's default
     step (about 1.5e-8) returns noise.  The gradient here is a central
-    difference with step ``1e-3 * max(1, |x_i|)``, the order of the step INLA
-    uses for its hyper mode (Rue, Martino & Chopin 2009, section 6.1).
+    difference with step ``h_i = 1e-3 * max(1, |x_i|)``, the order of the
+    step INLA uses for its hyper mode (Rue, Martino & Chopin 2009, section
+    6.1).  Each evaluation is one call of the batch evaluator ``many`` on the
+    2m + 1 rows ``[x, x + h_i e_i, x - h_i e_i]``, the centre first; the
+    gradient divides by the step as represented, ``(x + h) - (x - h)``.
     ``inv_curv``, when known, seeds the inverse-Hessian estimate.
 
     Converged means the largest gradient component fell below 1e-3, or the
@@ -666,10 +687,17 @@ def maximize(fn: Callable[[np.ndarray], float], x0: np.ndarray,
     alone).  Running out of ``MAXIMIZE_ITER``
     iterations, or a stall with more to gain, reads ``False``.
     """
+    def negated(x: np.ndarray) -> tuple[float, np.ndarray]:
+        m = x.size
+        h = 1.0e-3 * np.maximum(1.0, np.abs(x))
+        steps = np.diag(h)
+        f = np.asarray(many(np.vstack([x, x + steps, x - steps])), dtype=float)
+        grad = (f[1 : m + 1] - f[m + 1 :]) / ((x + h) - (x - h))
+        return -float(f[0]), -grad
+
     res = minimize(
-        lambda x: -fn(x), np.asarray(x0, dtype=float), method="BFGS", jac="3-point",
-        options={"finite_diff_rel_step": 1.0e-3, "gtol": 1.0e-3, "maxiter": MAXIMIZE_ITER,
-                 "hess_inv0": inv_curv},
+        negated, np.asarray(x0, dtype=float), method="BFGS", jac=True,
+        options={"gtol": 1.0e-3, "maxiter": MAXIMIZE_ITER, "hess_inv0": inv_curv},
     )
     # a stall counts as converged only under a positive-definite quadratic model
     stalled_flat = (res.status == 2 and bool(np.all(np.linalg.eigvalsh(res.hess_inv) > 0.0))

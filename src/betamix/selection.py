@@ -1,20 +1,22 @@
 """Model selection criteria computed from a nested Laplace fit.
 
-Three criteria, all driven by the hyperparameter grid and the Gaussian
-latent conditionals stored in a :class:`~betamix.laplace.FitResult`:
+Three criteria, all driven by the hyperparameter integration points (the
+grid for q <= 1, the central composite design for q = 2), their weights and
+the Gaussian latent conditionals stored in a
+:class:`~betamix.laplace.FitResult`:
 
 * ``dic``: deviance information criterion.  The plug-in deviance is
   evaluated at the posterior means of (beta, b, phi); the posterior mean
-  deviance averages the per-row expected log likelihood over the grid, with
-  each row's linear predictor treated as conditionally Gaussian (its exact
-  law under the nested Laplace representation) and integrated by
-  Gauss-Hermite quadrature.
-* the log marginal likelihood: the grid-integrated unnormalized posterior
-  (``laplace.grid_log_evidence``).  All proper normalizing constants are
-  kept, so differences are meaningful between models fit by this engine on
-  the same data.
+  deviance averages the per-row expected log likelihood over the
+  integration points, with each row's linear predictor treated as
+  conditionally Gaussian (its exact law under the nested Laplace
+  representation) and integrated by Gauss-Hermite quadrature.
+* the log marginal likelihood: the unnormalized posterior integrated over
+  the same points (``laplace.grid_log_evidence``).  All proper normalizing
+  constants are kept, so differences are meaningful between models fit by
+  this engine on the same data.
 * ``cpo``: conditional predictive ordinates through the harmonic identity
-  1/CPO_i = E_posterior[1 / f(y_i | eta_i, phi)], with the same grid plus
+  1/CPO_i = E_posterior[1 / f(y_i | eta_i, phi)], with the same points plus
   Gauss-Hermite expectation evaluated entirely in log space.
 
 ``compare_models`` assembles the Table-style comparison: posterior means of
@@ -64,7 +66,8 @@ def _rowwise_loglik(fit: FitResult, cond, phi: float, nodes, ctx) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _GofPass:
-    """The grid sums of the Gauss-Hermite row matrices that DIC and CPO use."""
+    """The weighted sums over the integration points of the Gauss-Hermite
+    row matrices that DIC and CPO use."""
 
     mean_dev: float  # posterior mean deviance
     x_mean: np.ndarray  # posterior mean of the latent vector
@@ -72,8 +75,10 @@ class _GofPass:
 
 
 def _gof_pass(fit: FitResult) -> _GofPass:
-    """One pass over the grid points with mass, building each point's row
-    matrix once for both criteria; kept on the fit, whose grid is fixed."""
+    """One pass over the integration points with mass (grid or design, read
+    through ``weights``, ``theta`` and ``conditionals`` alike), building each
+    point's row matrix once for both criteria; kept on the fit, whose
+    points are fixed."""
     if fit._gof_pass is not None:
         return fit._gof_pass
     ctx = fit._require_ctx()
@@ -95,7 +100,7 @@ def _gof_pass(fit: FitResult) -> _GofPass:
         ll = _rowwise_loglik(fit, cond, float(phis[t]), nodes, ctx)
         mean_dev += w * (-2.0) * float(np.sum(ll @ gh_w))
         x_mean += w * cond.mean
-        # log E_cond[1/f] per row, then weighted across the grid; the
+        # log E_cond[1/f] per row, then weighted across the points; the
         # max-shifted sum is scipy's logsumexp without its per-call checks
         a = log_gh_w[None, :] - ll
         top = a.max(axis=1)
@@ -140,8 +145,8 @@ def cpo(fit: FitResult, data=None) -> CpoResult:
     """Conditional predictive ordinate of every observation.
 
     Uses the harmonic identity: the posterior expectation of the reciprocal
-    row likelihood, accumulated in log space over the grid and the
-    Gauss-Hermite abscissae so extreme rows cannot overflow.  Rows whose CPO
+    row likelihood, accumulated in log space over the integration points and
+    the Gauss-Hermite abscissae so extreme rows cannot overflow.  Rows whose CPO
     underflows to zero are reported in ``zero_rows`` (indices in the
     caller's row order).
     """

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize
 
-from betamix.distributions import beta_logpdf_arrays
-from betamix.likelihood import marginal_loglik, ml_fit, profile_interval
-from betamix.model import Dataset, HyperPoint, build_design
+from betamix.distributions import DomainError, beta_logpdf_arrays
+from betamix.likelihood import _MarginalLoglik, marginal_loglik, ml_fit, profile_interval
+from betamix.model import COORD_CAP, Dataset, HyperPoint, build_design, moment_start, out_of_support
 from betamix.simulate import simulate_study
 
 
@@ -132,6 +132,73 @@ def test_marginal_loglik_peaks_near_truth(small_study):
     wrong_tau = marginal_loglik(beta, HyperPoint.from_natural(93.0, 0.05), data, spec)
     assert at_truth > wrong_phi
     assert at_truth > wrong_tau
+
+
+# -- the stacked evaluator -------------------------------------------------------
+
+
+def _lik_at_start(random):
+    """The likelihood of a small study, warm at the start point of ``ml_fit``,
+    and a stack of seven points around that start."""
+    study = simulate_study(seed=2, n_groups=6, n_total=90, random=random)
+    lik = _MarginalLoglik(study.data, study.spec)
+    start = np.zeros(lik.dim)
+    start[0] = np.log(np.mean(study.data.y) / (1.0 - np.mean(study.data.y)))
+    start[lik.p:] = moment_start(study.data.y, study.spec.q).as_array()
+    lik(start)
+    return lik, start + 0.1 * np.sin(np.arange(7 * lik.dim)).reshape(7, lik.dim)
+
+
+@pytest.mark.parametrize("random", ["intercept", "intercept+slope"])
+def test_stack_rows_equal_one_row_calls_from_the_same_warm_state(random):
+    """Every row of a stack is its own N group blocks of one Newton search,
+    started from the warm state, so it runs the arithmetic of a one-row call
+    from that state; only the order of vectorized sums may differ, to a
+    relative 1e-12.  The warm state then moves to row 0's modes."""
+    lik, stack = _lik_at_start(random)
+    warm = lik._warm.copy()
+    calls, points = lik.n_calls, lik.n_points
+    values = lik(stack)
+    assert values.shape == (len(stack),)
+    assert (lik.n_calls, lik.n_points) == (calls + 1, points + len(stack))
+    after = lik._warm.copy()
+    for k, row in enumerate(stack):
+        lik._warm = warm.copy()
+        one = lik(row)
+        assert isinstance(one, float)
+        assert values[k] == pytest.approx(one, rel=1e-12, abs=0.0), k
+        if k == 0:
+            np.testing.assert_allclose(after, lik._warm, rtol=1e-12, atol=1e-12)
+
+
+def test_rows_outside_the_support_leave_the_other_rows_unchanged():
+    lik, stack = _lik_at_start("intercept")
+    warm = lik._warm.copy()
+    plain = lik(stack[:3])
+    not_finite, beyond = stack[3].copy(), stack[4].copy()
+    not_finite[1] = np.nan
+    beyond[-1] = COORD_CAP + 1.0
+    lik._warm = warm.copy()
+    mixed = lik(np.array([stack[0], not_finite, stack[1], beyond, stack[2]]))
+    np.testing.assert_array_equal(mixed[[0, 2, 4]], plain)
+    assert mixed[1] == out_of_support(not_finite)
+    assert mixed[3] == out_of_support(beyond)
+
+
+def test_rows_of_a_batch_that_cannot_be_evaluated_are_retried_alone(monkeypatch):
+    lik, stack = _lik_at_start("intercept")
+    warm = lik._warm.copy()
+    plain = lik(stack[:3])
+    integrals = lik._integrals
+
+    def batch_fails(rows):
+        if len(rows) > 1:
+            raise DomainError("forced")
+        return integrals(rows)
+
+    monkeypatch.setattr(lik, "_integrals", batch_fails)
+    lik._warm = warm.copy()
+    np.testing.assert_allclose(lik(stack[:3]), plain, rtol=1e-12, atol=0.0)
 
 
 # -- estimates and intervals -----------------------------------------------------

@@ -392,8 +392,24 @@ def _noisy_quadratic(x, amplitude=1e-8):
     return -0.5 * d @ _A @ d + amplitude * np.sin(1e9 * x).sum() / 3.0
 
 
+def _each(fn):
+    """A batch evaluator that calls ``fn`` one point at a time."""
+    return lambda points: np.array([fn(x) for x in points])
+
+
+def _recording(fn, calls):
+    """``_each(fn)``, keeping a copy of every stack it is called on."""
+    each = _each(fn)
+
+    def many(points):
+        calls.append(np.array(points))
+        return each(points)
+
+    return many
+
+
 def test_maximize_converges_through_difference_noise():
-    best = maximize(_noisy_quadratic, np.zeros(3))
+    best = maximize(_each(_noisy_quadratic), np.zeros(3))
     assert best.converged, best.message
     np.testing.assert_allclose(best.x, _ARGMAX, atol=1e-4)
     assert best.value == pytest.approx(_noisy_quadratic(best.x), abs=0.0)
@@ -401,21 +417,67 @@ def test_maximize_converges_through_difference_noise():
 
 def test_maximize_reports_an_exhausted_iteration_budget(monkeypatch):
     monkeypatch.setattr(model, "MAXIMIZE_ITER", 2)
-    best = maximize(_noisy_quadratic, np.zeros(3))
+    best = maximize(_each(_noisy_quadratic), np.zeros(3))
     assert not best.converged
     assert "iterations" in best.message
 
 
-@pytest.mark.parametrize("amplitude,converged", [(1e-6, True), (1e-3, False)])
-def test_maximize_stall_counts_only_where_little_is_left(amplitude, converged):
-    """Noise of 1e-6 stops the line search next to the argmax, where the
-    gradient test fails on noise alone; noise of 1e-3 wrecks the difference
-    gradient from the start, and the stall there must not read as converged."""
-    best = maximize(lambda x: _noisy_quadratic(x, amplitude), np.zeros(3))
-    assert "precision loss" in best.message
+@pytest.mark.parametrize("amplitude,converged,ending", [
+    pytest.param(1e-6, True, "terminated successfully", id="1e-06-True"),
+    pytest.param(3e-5, True, "precision loss", id="3e-05-True"),
+    pytest.param(3e-4, False, "precision loss", id="0.0003-False"),
+    pytest.param(1e-3, False, "precision loss", id="0.001-False"),
+])
+def test_maximize_stall_counts_only_where_little_is_left(amplitude, converged, ending):
+    """Noise of 1e-6 does not stop the search: the 1e-3 steps see through
+    it.  Noise of 3e-5 stops the line search next to the argmax, where the
+    gradient test fails on noise alone; noise of 3e-4 and more wrecks the
+    difference gradient, and the stall there must not read as converged."""
+    best = maximize(_each(lambda x: _noisy_quadratic(x, amplitude)), np.zeros(3))
+    assert ending in best.message
     assert best.converged is converged
     if converged:
         np.testing.assert_allclose(best.x, _ARGMAX, atol=1e-3)
+
+
+def test_maximize_calls_its_evaluator_once_per_stencil(monkeypatch):
+    """Each BFGS evaluation is one call on the 2m + 1 rows [x, x + h e_i,
+    x - h e_i] with h_i = 1e-3 max(1, |x_i|): 1e-3 at x_i = 0 and at 0.05,
+    where a step relative to |x_i| alone would be 0 and 5e-5."""
+    runs = []
+
+    def recording_minimize(*args, **kwargs):
+        runs.append(inner(*args, **kwargs))
+        return runs[-1]
+
+    inner = model.minimize
+    monkeypatch.setattr(model, "minimize", recording_minimize)
+    calls = []
+    x0 = np.array([0.0, 0.05, -3.0])
+    maximize(_recording(_noisy_quadratic, calls), x0)
+    assert len(calls) == runs[0].nfev > 1
+    np.testing.assert_array_equal(calls[0][0], x0)
+    np.testing.assert_allclose(calls[0][1:4] - x0, np.diag([1e-3, 1e-3, 3e-3]), rtol=1e-9,
+                               atol=1e-15)
+    for rows in calls:
+        assert rows.shape == (7, 3)
+        h = 1e-3 * np.maximum(1.0, np.abs(rows[0]))
+        np.testing.assert_allclose(rows[1:4] - rows[0], np.diag(h), rtol=1e-9, atol=1e-15)
+        np.testing.assert_allclose(rows[4:] - rows[0], -np.diag(h), rtol=1e-9, atol=1e-15)
+
+
+def test_fd_curvature_makes_two_stencil_calls_and_recovers_a_quadratic():
+    """Central differences are exact on a quadratic, so both passes recover
+    its negative Hessian up to rounding; each pass is one call of 1 + 2m^2
+    rows with the centre first."""
+    calls = []
+    curv, cov = model.fd_curvature(_recording(lambda x: _noisy_quadratic(x, 0.0), calls),
+                                   _ARGMAX)
+    assert [rows.shape for rows in calls] == [(19, 3), (19, 3)]
+    for rows in calls:
+        np.testing.assert_array_equal(rows[0], _ARGMAX)
+    np.testing.assert_allclose(curv, _A, rtol=1e-6)
+    np.testing.assert_allclose(cov, np.linalg.inv(_A), rtol=1e-6)
 
 
 def test_ml_fit_does_not_stop_short():
