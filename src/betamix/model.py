@@ -41,16 +41,16 @@ and its link derivatives (``loglik_rows``, ``eta_derivs``), the
 unconstrained-to-natural transforms with their derivatives (``TRANSFORMS``),
 log det Q (:meth:`HyperPoint.precision_logdet`), the coordinate cap
 ``COORD_CAP`` and the value outside the support (``out_of_support``), the
-moment start point, the outer search (``maximize``) and the two-stage
-finite-difference curvature at its optimum (``fd_curvature``), which both
-take a batch evaluator (a (K, m) stack of points to its K values) and call
-it once per central-difference stencil, the chunk rule by which such an
-evaluator splits a stack (``chunk_size``), the damped
-Newton search for conditional modes (``newton_ascent``), with its one
+moment start point, the outer search (``maximize``), the two-stage
+finite-difference curvature at its optimum (``fd_curvature``), the chunk
+rule by which an evaluator splits a stack of points (``chunk_size``), the
+damped Newton search for conditional modes (``newton_ascent``), with its one
 acceptance rule and one failure, ``ModeConvergenceError``, and the masked
 batched Cholesky of small symmetric stacks (``_cholesky``, ``_chol_solve``),
 which factors both the Laplace block Hessians and the likelihood engine's
-per-group curvatures.
+per-group curvatures.  The outer search and the curvature take a batch
+evaluator, which maps a (K, m) stack of points to its K values, and call it
+once per central-difference stencil.
 """
 
 from __future__ import annotations
