@@ -53,8 +53,10 @@ proper priors on the fixed effects).
 
 Reproducibility: one integer seed drives every chain through spawned
 ``numpy.random.SeedSequence`` children, so results are identical run to run
-regardless of how many chains are drawn.  Progress goes to the ``betamix``
-logger, one ``INFO`` line per chain.
+regardless of how many chains are drawn.  The chains share no state, so
+``run_mcmc`` runs them in up to nproc forked workers (``model.fork_map``),
+equal bit for bit to a serial run.  Progress goes to the ``betamix`` logger,
+one ``INFO`` line per chain, written in chain order once all have ended.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ from scipy.special import gammaln
 from ._io import atomic_write
 from .density import MarginalDensity, kde_density
 from .distributions import DomainError
-from .model import COORD_CAP, MU_EPS, Dataset, HyperPoint, ModelContext, ModelSpec
+from .model import COORD_CAP, MU_EPS, Dataset, HyperPoint, ModelContext, ModelSpec, fork_map
 from .priors import PriorSpec, default_priors
 
 __all__ = [
@@ -648,11 +650,8 @@ def run_mcmc(
                     recenter_pairs.append((a, k))
                     break
 
-    all_draws = np.empty((config.n_chains, config.n_stored, len(names)))
-    acc: dict[str, np.ndarray] = {}  # filled in the sampler's site order
-
-    t_start = time.perf_counter()
-    for c in range(config.n_chains):
+    def chain(c: int) -> tuple[np.ndarray, dict[tuple, float], float]:
+        """Chain c: its stored draws, its acceptance rates and its seconds."""
         rng = np.random.default_rng(children[c])
         jit_theta = theta0 + JITTER * sigma_theta * rng.standard_normal(m)
         jit_x = x0.copy()
@@ -678,18 +677,23 @@ def run_mcmc(
         draws, rates = sample_metropolis(
             target, sites, config.iterations, config.burn_in, config.thin, rng
         )
-        all_draws[c] = draws
+        return draws, rates, time.perf_counter() - t_chain
+
+    t_start = time.perf_counter()
+    chains = fork_map(chain, config.n_chains)
+    acc: dict[str, np.ndarray] = {}  # filled in the sampler's site order
+    for c, (_, rates, seconds) in enumerate(chains):
         for k, r in rates.items():
             acc.setdefault(str(k), np.zeros(config.n_chains))[c] = r
         group_rates = [r for k, r in rates.items() if k[0] == "b"]
         logger.info(
             "mcmc chain %d of %d: %d sweeps in %.2f s, mean group acceptance %s",
-            c + 1, config.n_chains, config.iterations, time.perf_counter() - t_chain,
+            c + 1, config.n_chains, config.iterations, seconds,
             f"{np.mean(group_rates):.3f}" if group_rates else "n/a",
         )
 
     return ChainOutput(
-        samples=all_draws,
+        samples=np.stack([draws for draws, _, _ in chains]),
         names=names,
         acceptance=acc,
         config=config,

@@ -50,12 +50,18 @@ batched Cholesky of small symmetric stacks (``_cholesky``, ``_chol_solve``),
 which factors both the Laplace block Hessians and the likelihood engine's
 per-group curvatures.  The outer search and the curvature take a batch
 evaluator, which maps a (K, m) stack of points to its K values, and call it
-once per central-difference stencil.
+once per central-difference stencil.  ``fork_map`` runs independent tasks
+(MCMC chains, sensitivity refits) in forked workers, with the same values
+as a serial run.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
+import logging
+import os
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -775,6 +781,105 @@ def newton_ascent(values: Callable[[np.ndarray], np.ndarray],
         stalled |= active
     found = spd & (done | (gnorm < STALL_TOL))
     return Ascent(x, f, gnorm, done, found)
+
+
+# ---------------------------------------------------------------------------
+# independent tasks in forked workers
+# ---------------------------------------------------------------------------
+
+#: the task of the running :func:`fork_map` pool; its forked workers inherit it
+_forked_task: Callable[[int], object] | None = None
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+class _Collect(logging.Handler):
+    """Keeps the records it is handed, flattened so that they pickle."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.records: list[logging.LogRecord] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        if record.exc_info:
+            record.exc_text = logging.Formatter().formatException(record.exc_info)
+        record.msg, record.args, record.exc_info = record.getMessage(), None, None
+        self.records.append(record)
+
+
+def _run_forked(i: int):
+    """Task i in a forked worker: its value and its ``betamix`` log records.
+
+    The records are kept from the handlers the worker inherited, so that
+    only the parent writes them.  A raising task carries them on the
+    exception as ``betamix_records``.
+    """
+    log = logging.getLogger("betamix")
+    collect = _Collect()
+    log.handlers, log.propagate = [collect], False
+    try:
+        return _forked_task(i), collect.records
+    except BaseException as exc:
+        exc.betamix_records = collect.records
+        raise
+
+
+def _replay(records) -> None:
+    for record in records:
+        logging.getLogger(record.name).handle(record)
+
+
+def fork_map(task: Callable[[int], object], n: int) -> list:
+    """``[task(0), ..., task(n - 1)]``, the tasks run in forked workers.
+
+    Up to ``min(n, usable CPUs)`` worker processes are forked from this one,
+    so a task sees the caller's state as it was at the call, and its value
+    must pickle.  The tasks run in-process, in order, when that count is 1,
+    where ``fork`` is not available, in a daemonic process (which may not
+    have children), in a process with other Python threads (a fork copies
+    the locks they hold) and inside a task of another call.  Each task's
+    ``betamix`` log records are written here, once each, in task order.  If
+    a task raises, the records of it and of the tasks before it are written,
+    every worker is joined and its exception is raised; tasks not yet
+    started are cancelled.  Every worker has exited when this returns.
+    """
+    global _forked_task
+    import multiprocessing
+
+    workers = min(n, _cpus())
+    if (workers <= 1 or _forked_task is not None or threading.active_count() > 1
+            or "fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon):
+        return [task(i) for i in range(n)]
+    from concurrent.futures import ProcessPoolExecutor
+
+    _forked_task = task
+    # gc.freeze keeps a worker's cyclic collections off the objects it
+    # inherited: walking them writes their headers and so copies the parent's
+    # pages, which halved the speed of forked chains on the 200-group study
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=gc.freeze)
+    try:
+        futures = [pool.submit(_run_forked, i) for i in range(n)]
+        values = []
+        for future in futures:
+            try:
+                value, records = future.result()
+            except BaseException as exc:
+                _replay(getattr(exc, "betamix_records", ()))
+                raise
+            _replay(records)
+            values.append(value)
+        return values
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+        _forked_task = None
 
 
 # ---------------------------------------------------------------------------

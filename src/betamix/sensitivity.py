@@ -35,7 +35,7 @@ from ._io import atomic_write
 from .density import MarginalDensity
 from .distributions import DomainError, GammaShapeRate
 from .laplace import LaplaceOptions, fit_laplace
-from .model import Dataset, ModelSpec
+from .model import Dataset, ModelSpec, fork_map
 from .priors import PriorSpec, default_priors
 
 __all__ = [
@@ -227,6 +227,16 @@ def _scan_setup(spec: ModelSpec, priors: PriorSpec, param: str,
     raise DomainError("scan parameter must be 'phi' or 'tau'")
 
 
+def _failed(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _error_row(target: float, error: str) -> ScanRow:
+    nan = float("nan")
+    return ScanRow(target=target, prior=None, prior_h=nan, posterior_h=nan, ratio=nan,
+                   summary=None, error=error)
+
+
 def sensitivity_scan(
     data: Dataset,
     spec: ModelSpec,
@@ -240,8 +250,12 @@ def sensitivity_scan(
 
     For each target distance: calibrate a shifted gamma prior, refit, and
     compare the scanned parameter's posterior marginal (natural scale)
-    against the default fit's.  A failed refit is recorded on its row with
-    the error message; the scan continues.
+    against the default fit's.  The default fit and the refits read nothing
+    of one another, so they run in up to nproc forked workers
+    (``model.fork_map``), equal bit for bit to a serial run; each returns
+    its marginal and summary, and the distances are taken here.  A failed
+    refit is recorded on its row with the error message; the scan continues.
+    A failed default fit raises.
     """
     targets = [float(t) for t in targets]
     if not targets or any(not 0.0 < t < 1.0 for t in targets):
@@ -254,37 +268,42 @@ def sensitivity_scan(
 
     options = options or LaplaceOptions()
     options = replace(options, compute_gof=False)
-    default_priors_fit = put(priors, base)
-    default_fit = fit_laplace(data, spec, priors=default_priors_fit, options=options)
-    default_marg = default_fit.marginal(marginal_name)
 
-    rows: list[ScanRow] = []
-    for t in targets:
+    def fit(prior: GammaShapeRate) -> tuple[MarginalDensity, dict]:
+        fitted = fit_laplace(data, spec, priors=put(priors, prior), options=options)
+        return fitted.marginal(marginal_name), fitted.summary()
+
+    def refit(i: int):
+        """Task 0 is the default fit; task i > 0 refits at ``targets[i - 1]``
+        and returns its prior too, or the error message of its failure."""
+        if i == 0:
+            return fit(base)
         try:
-            shifted = calibrate_prior(base, t)
-            pri_h = gamma_hellinger_closed(base, shifted)
-            fit_t = fit_laplace(data, spec, priors=put(priors, shifted), options=options)
-            marg_t = fit_t.marginal(marginal_name)
-            post_h = hellinger(default_marg, marg_t)
-            rows.append(ScanRow(
-                target=t,
-                prior=shifted,
-                prior_h=pri_h,
-                posterior_h=post_h,
-                ratio=post_h / pri_h,
-                summary=fit_t.summary(),
-            ))
+            shifted = calibrate_prior(base, targets[i - 1])
+            return (shifted, *fit(shifted))
         except Exception as exc:  # noqa: BLE001 - a row failure must not kill the scan
-            rows.append(ScanRow(
-                target=t, prior=None, prior_h=float("nan"),
-                posterior_h=float("nan"), ratio=float("nan"),
-                summary=None, error=f"{type(exc).__name__}: {exc}",
-            ))
+            return _failed(exc)
+
+    (default_marg, default_summary), *refits = fork_map(refit, 1 + len(targets))
+    rows: list[ScanRow] = []
+    for t, out in zip(targets, refits):
+        if isinstance(out, str):
+            rows.append(_error_row(t, out))
+            continue
+        shifted, marg_t, summary = out
+        try:
+            pri_h = gamma_hellinger_closed(base, shifted)
+            post_h = hellinger(default_marg, marg_t)
+        except Exception as exc:  # noqa: BLE001 - a row failure must not kill the scan
+            rows.append(_error_row(t, _failed(exc)))
+            continue
+        rows.append(ScanRow(target=t, prior=shifted, prior_h=pri_h, posterior_h=post_h,
+                            ratio=post_h / pri_h, summary=summary))
 
     return SensitivityReport(
         param=param,
         marginal_name=marginal_name,
         base_prior=base,
-        default_summary=default_fit.summary(),
+        default_summary=default_summary,
         rows=tuple(rows),
     )

@@ -1,11 +1,13 @@
 """Adaptive sampler: diagnostics, prior recovery, reproducibility."""
 
 import logging
+import multiprocessing
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from betamix import mcmc, model
 from betamix.distributions import DomainError
 from betamix.mcmc import (
     McmcConfig,
@@ -263,6 +265,37 @@ def test_progress_is_logged_once_per_chain(caplog):
         assert f"chain {c + 1} of 2" in msg and "60 sweeps" in msg
         rate = np.mean([out.acceptance[str(("b", i))][c] for i in range(4)])
         assert msg.endswith(f"mean group acceptance {rate:.3f}")
+
+
+@pytest.mark.parametrize("random", ["intercept", "intercept+slope"])
+def test_forked_chains_equal_the_serial_run(random, monkeypatch):
+    """Three chains on two workers (one worker runs two) against one process."""
+    study = simulate_study(seed=2, n_groups=4, n_total=32, random=random)
+    cfg = McmcConfig(n_chains=3, iterations=300, burn_in=100, thin=2, seed=5)
+    runs = {}
+    for cpus in (2, 1):
+        monkeypatch.setattr(model, "_cpus", lambda cpus=cpus: cpus)
+        runs[cpus] = run_mcmc(study.data, study.spec, config=cfg)
+        assert multiprocessing.active_children() == []
+    forked, serial = runs[2], runs[1]
+    assert np.array_equal(forked.samples, serial.samples)
+    assert list(forked.acceptance) == list(serial.acceptance)
+    for key, rates in serial.acceptance.items():
+        assert np.array_equal(forked.acceptance[key], rates)
+
+
+def test_a_failing_chain_raises_and_leaves_no_worker(monkeypatch):
+    study = simulate_study(seed=2, n_groups=4, n_total=32)
+    cfg = McmcConfig(n_chains=3, iterations=60, burn_in=20, thin=2, seed=1)
+
+    def failing(*args, **kwargs):
+        raise RuntimeError("sampler failed")
+
+    monkeypatch.setattr(mcmc, "sample_metropolis", failing)
+    monkeypatch.setattr(model, "_cpus", lambda: 2)
+    with pytest.raises(RuntimeError, match=r"^sampler failed$"):
+        run_mcmc(study.data, study.spec, config=cfg)
+    assert multiprocessing.active_children() == []
 
 
 def test_export_chains(tmp_path, reduced_mcmc):

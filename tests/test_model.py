@@ -1,5 +1,9 @@
 """Model core: links, design expansion, joint posterior derivatives."""
 
+import logging
+import multiprocessing
+import os
+import threading
 import warnings
 
 import numpy as np
@@ -15,6 +19,7 @@ from betamix.model import (
     ModelContext,
     ModelSpec,
     build_design,
+    fork_map,
     log_jacobians,
     maximize,
     newton_ascent,
@@ -521,3 +526,66 @@ def test_newton_ascent_runs_blocks_independently():
     assert len(calls) > 4
     np.testing.assert_array_equal(calls[-1], asc.x)
     np.testing.assert_allclose(asc.value, values(asc.x))
+
+
+# -- fork_map ------------------------------------------------------------------
+
+
+def _logged_square(i: int) -> int:
+    logging.getLogger("betamix").warning("task %d", i)
+    return i * i
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_fork_map_returns_values_in_task_order(cpus, monkeypatch):
+    monkeypatch.setattr(model, "_cpus", lambda: cpus)
+    assert fork_map(_logged_square, 5) == [0, 1, 4, 9, 16]
+    assert multiprocessing.active_children() == []
+
+
+def test_fork_map_runs_tasks_in_workers_and_nested_calls_in_process(monkeypatch):
+    monkeypatch.setattr(model, "_cpus", lambda: 2)
+    pids = fork_map(lambda i: (os.getpid(), fork_map(lambda j: os.getpid(), 2)), 2)
+    for pid, inner in pids:
+        assert pid != os.getpid()
+        assert inner == [pid, pid]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_fork_map_writes_each_record_once_in_task_order(cpus, monkeypatch, caplog):
+    monkeypatch.setattr(model, "_cpus", lambda: cpus)
+    caplog.set_level(logging.WARNING, logger="betamix")
+    fork_map(_logged_square, 5)
+    assert [r.getMessage() for r in caplog.records] == [f"task {i}" for i in range(5)]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_fork_map_raises_a_task_failure_and_leaves_no_worker(cpus, monkeypatch, caplog):
+    monkeypatch.setattr(model, "_cpus", lambda: cpus)
+    caplog.set_level(logging.WARNING, logger="betamix")
+
+    def task(i):
+        _logged_square(i)
+        if i == 2:
+            raise DomainError(f"task {i} failed")
+        return i
+
+    with pytest.raises(DomainError, match=r"^task 2 failed$"):
+        fork_map(task, 4)
+    assert multiprocessing.active_children() == []
+    # the records of the failed task and of those before it, as a serial run
+    assert [r.getMessage() for r in caplog.records] == ["task 0", "task 1", "task 2"]
+
+
+def test_fork_map_runs_in_process_beside_another_thread(monkeypatch):
+    monkeypatch.setattr(model, "_cpus", lambda: 2)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(10.0,))
+    other.start()
+    try:
+        assert fork_map(lambda i: os.getpid(), 2) == [os.getpid()] * 2
+    finally:
+        release.set()
+        other.join(10.0)
+    assert not other.is_alive()

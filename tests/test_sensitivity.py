@@ -1,10 +1,14 @@
 """Hellinger machinery, prior calibration, and the sensitivity scan driver."""
 
+import logging
+import multiprocessing
+
 import numpy as np
 import pytest
 from scipy import stats
 
 import betamix.sensitivity as sens_mod
+from betamix import model
 from betamix.density import MarginalDensity
 from betamix.distributions import DomainError, GammaShapeRate
 from betamix.model import Dataset, ModelSpec
@@ -197,15 +201,17 @@ def test_scan_validates_parameter(tiny_data):
 def test_failed_refit_is_recorded_not_raised(tiny_data, monkeypatch, tmp_path):
     spec = ModelSpec(fixed=(), random="none")
     real = sens_mod.fit_laplace
-    calls = {"n": 0}
+    # the refit at the second target fails; chosen by its prior, not by call
+    # order, because the fits may run in forked workers
+    failing_rate = calibrate_prior(PHI_SCAN_DEFAULT, 0.4).rate
 
     def flaky(*args, **kwargs):
-        calls["n"] += 1
-        if calls["n"] == 3:  # default fit and first target succeed
+        if kwargs["priors"].phi.rate == failing_rate:
             raise RuntimeError("boom")
         return real(*args, **kwargs)
 
     monkeypatch.setattr(sens_mod, "fit_laplace", flaky)
+    monkeypatch.setattr(model, "_cpus", lambda: 2)
     report = sensitivity_scan(tiny_data, spec, param="phi", targets=(0.2, 0.4))
     assert report.rows[0].ok
     assert not report.rows[1].ok
@@ -217,6 +223,61 @@ def test_failed_refit_is_recorded_not_raised(tiny_data, monkeypatch, tmp_path):
     report.write_csv(out)
     text = out.read_text()
     assert "RuntimeError: boom" in text
+
+
+def test_forked_scan_equals_the_serial_scan(tiny_data, tiny_scan, monkeypatch):
+    """The default fit and two refits on two workers against one process."""
+    spec = ModelSpec(fixed=(), random="none")
+    reports = {}
+    for cpus in (2, 1):
+        monkeypatch.setattr(model, "_cpus", lambda cpus=cpus: cpus)
+        reports[cpus] = sensitivity_scan(tiny_data, spec, param="phi", targets=(0.2, 0.4))
+        assert multiprocessing.active_children() == []
+    forked, serial = reports[2], reports[1]
+    assert forked.rows == serial.rows
+    assert [r.ratio for r in forked.rows] == [r.ratio for r in serial.rows]
+    assert forked.default_summary == serial.default_summary
+    assert [r.summary for r in forked.rows] == [r.summary for r in serial.rows]
+    assert forked == serial == tiny_scan
+
+
+def test_a_failing_default_fit_raises_and_leaves_no_worker(tiny_data, monkeypatch):
+    spec = ModelSpec(fixed=(), random="none")
+    real = sens_mod.fit_laplace
+
+    def failing(*args, **kwargs):
+        if kwargs["priors"].phi == PHI_SCAN_DEFAULT:
+            raise RuntimeError("default fit failed")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sens_mod, "fit_laplace", failing)
+    monkeypatch.setattr(model, "_cpus", lambda: 2)
+    with pytest.raises(RuntimeError, match=r"^default fit failed$"):
+        sensitivity_scan(tiny_data, spec, param="phi", targets=(0.2, 0.4))
+    assert multiprocessing.active_children() == []
+
+
+def test_warnings_of_each_fit_are_logged_once_in_fit_order(tiny_data, monkeypatch, caplog):
+    """An unconverged hyper-mode search in every fit, as in the Laplace tests."""
+    spec = ModelSpec(fixed=(), random="none")
+    real = sens_mod.fit_laplace
+
+    def announced(*args, **kwargs):
+        logging.getLogger("betamix").warning("fit at rate %r", kwargs["priors"].phi.rate)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sens_mod, "fit_laplace", announced)
+    monkeypatch.setattr(model, "MAXIMIZE_ITER", 1)
+    monkeypatch.setattr(model, "_cpus", lambda: 2)
+    caplog.set_level(logging.WARNING, logger="betamix")
+    report = sensitivity_scan(tiny_data, spec, param="phi", targets=(0.2, 0.4))
+    assert all(row.ok for row in report.rows)
+    rates = [PHI_SCAN_DEFAULT.rate, *(row.prior.rate for row in report.rows)]
+    messages = [r.getMessage() for r in caplog.records if r.name == "betamix"]
+    assert len(messages) == 2 * len(rates)
+    for rate, announce, warning in zip(rates, messages[::2], messages[1::2]):
+        assert announce == f"fit at rate {rate!r}"
+        assert warning.startswith("hyper-mode search did not converge")
 
 
 def test_report_csv_layout(tiny_scan, tmp_path):
