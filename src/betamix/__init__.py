@@ -17,7 +17,7 @@ CPO; prior robustness is quantified with calibrated Hellinger scans.
 from .config import AnalysisConfig, load_csv
 from .density import MarginalDensity, kde_density
 from .distributions import DomainError, GammaShapeRate
-from .laplace import FitResult, LaplaceOptions, ThetaGrid, fit_laplace, grid_log_evidence
+from .laplace import FitResult, LaplaceOptions, ThetaGrid, fit_laplace
 from .likelihood import (
     MLFit,
     ProfileInterval,
@@ -80,7 +80,6 @@ __all__ = [
     "elicited_range_roundtrip",
     "fit_laplace",
     "gamma_hellinger_closed",
-    "grid_log_evidence",
     "hellinger",
     "kde_density",
     "load_csv",

@@ -284,7 +284,7 @@ def _cmd_sensitivity(config: AnalysisConfig, args, out_dir: Path) -> dict:
         param=config.scan_param,
         targets=config.targets,
         base_prior=config.scan_base_prior(),
-        options=config.laplace_options(compute_gof=False),
+        options=config.laplace_options(),
     )
     table = out_dir / "sensitivity.csv"
     summary_table = out_dir / "sensitivity_summary.csv"
@@ -390,8 +390,6 @@ def _build_parser() -> _Parser:
     def common(p):
         p.add_argument("--config", help="JSON config file (flags override it)")
         p.add_argument("--seed", type=int, help="random seed")
-        p.add_argument("--engine", choices=["laplace", "mcmc", "ml"],
-                       help="inference engine (fit command)")
         p.add_argument("--out-dir", help="output directory (default: current)")
         p.add_argument("--data", help="input data CSV")
 
@@ -406,6 +404,9 @@ def _build_parser() -> _Parser:
     ]:
         p = sub.add_parser(name, help=descr)
         common(p)
+        if name == "fit":
+            p.add_argument("--engine", choices=["laplace", "mcmc", "ml"],
+                           help="inference engine")
         if name == "ml":
             p.add_argument("--profile", action="store_true",
                            help="profile-likelihood intervals instead of Wald")
@@ -435,7 +436,7 @@ def _config_from_args(args) -> AnalysisConfig:
     config = AnalysisConfig.from_file(args.config) if args.config else AnalysisConfig()
     overrides = {
         "seed": args.seed,
-        "engine": args.engine,
+        "engine": getattr(args, "engine", None),
         "out_dir": args.out_dir,
         "data": args.data,
     }

@@ -192,13 +192,9 @@ class AnalysisConfig:
             pr = replace(pr, intercept_precision=float(self.intercept_precision))
         return pr
 
-    def laplace_options(self, compute_gof: bool = True) -> LaplaceOptions:
-        return LaplaceOptions(
-            step=self.grid_step,
-            cutoff=self.cutoff,
-            grid_points=self.grid_points,
-            compute_gof=compute_gof,
-        )
+    def laplace_options(self) -> LaplaceOptions:
+        return LaplaceOptions(step=self.grid_step, cutoff=self.cutoff,
+                              grid_points=self.grid_points)
 
     def mcmc_config(self) -> McmcConfig:
         return McmcConfig(

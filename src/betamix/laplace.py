@@ -16,7 +16,7 @@ marginal of one hyperparameter on its natural scale through
 collapses the weights along the other axes and smooths the log weights with
 a cubic spline; on a design it smooths seeded draws from INLA's asymmetric
 Gaussian (Martins, Simpson, Lindgren & Rue 2013), whose per-axis scales come
-from probes at z = +-2 along each eigen-axis.  :func:`grid_log_evidence`
+from probes at z = +-2 along each eigen-axis.  ``ThetaGrid.log_evidence``
 integrates either rule.  A hyper-mode search that ends unconverged, and a
 design point without a value, log a ``WARNING`` on the ``betamix`` logger;
 the latter falls back to the grid.
@@ -28,17 +28,17 @@ Laplace identity
 
     log pi(theta | y)  ~=  joint(x*, theta) + dim/2 log 2 pi - 1/2 logdet(-H)
 
-is evaluated with the block Cholesky factorization.  Every stencil of the
-mode search and of the curvature, the product stage of the grid and the
-design with its probes are solved in batches: the centre of a stencil (the
-hyper mode for the grid and the design) is solved first, warm started from
-the point solved before it, and the other points go in chunks of
-``model.chunk_size(n)`` (B points times n rows at most
+is evaluated with the block Cholesky factorization.  Every evaluation is one
+batch call with an anchor: each stencil of the mode search and of the
+curvature is anchored at its centre, the product stage of the grid and the
+design with its probes at the hyper mode, and each axis-scan point at the
+axis point evaluated before it.  The anchor is solved first, warm started
+from the previous anchor's latent mode, and the other points go in chunks
+of ``model.chunk_size(n)`` (B points times n rows at most
 ``model.CHUNK_ROWS``), one ``newton_ascent`` per chunk with one block per
-point, every block started from the latent mode at the centre; a point its
-chunk does not find is solved on its own.  Only the grid's axis scans solve
-one point at a time.  Latent marginals are Gaussian mixtures over the
-integration points (no skewness correction).
+point, every block started from the latent mode at the anchor; a point its
+chunk does not find is solved on its own.  Latent marginals are Gaussian
+mixtures over the integration points (no skewness correction).
 """
 
 from __future__ import annotations
@@ -85,7 +85,6 @@ __all__ = [
     "find_conditional_mode",
     "hyper_mode",
     "explore_theta",
-    "grid_log_evidence",
     "marginal_hyper",
     "marginal_latent",
     "fit_laplace",
@@ -214,7 +213,9 @@ class ThetaGrid:
     ``integration`` names the rule.  On a ``"grid"`` the points are
     ``mode + sigma * z_index * step``; on a ``"ccd"`` design they are
     ``mode + axes @ z``, and ``scales`` (m, 2) holds the asymmetric-Gaussian
-    scale of each eigen-axis, negative side first.
+    scale of each eigen-axis, negative side first.  ``log_evidence`` is the
+    unnormalized posterior integrated by the rule; the joint keeps every
+    proper normalizing constant, so it compares models fit on the same data.
     """
 
     theta: np.ndarray  # (T, m) unconstrained coordinates
@@ -270,8 +271,20 @@ def _optimize_mode(many, theta0: np.ndarray) -> np.ndarray:
     return best.x
 
 
+def _mode_and_curvature(
+    logpost_many: Callable[[np.ndarray, np.ndarray], Sequence[float]], theta0: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The hyper mode (:func:`_optimize_mode`), then ``model.fd_curvature``
+    there and its inverse; every stencil is one call of ``logpost_many``
+    anchored at its centre, row 0."""
+    def stencil(points: np.ndarray) -> Sequence[float]:
+        return logpost_many(points, points[0])
+
+    mode = _optimize_mode(stencil, theta0)
+    return (mode, *fd_curvature(stencil, mode))
+
+
 def explore_theta(
-    logpost_fn: Callable[[np.ndarray], float],
     logpost_many: Callable[[np.ndarray, np.ndarray], Sequence[float]],
     theta0: Sequence[float],
     names: Sequence[str],
@@ -285,8 +298,10 @@ def explore_theta(
     of ``points``; ``anchor`` is passed so that a warm-started evaluator can
     start there.  Each stencil of the mode search (``model.maximize``) and of
     the curvature (``model.fd_curvature``) is one call, anchored at its
-    centre, row 0; the grid and the design are anchored at the hyper mode.
-    Only the grid's axis scans call ``logpost_fn``, one point at a time.
+    centre, row 0; the value at the mode, the grid and the design are
+    anchored at the hyper mode, and each axis-scan point is a one-point call
+    anchored at the axis point evaluated before it, across directions and
+    axes.
 
     With m >= 3 hyperparameters the points are the central composite design
     of :func:`_lay_ccd`, evaluated with its skewness probes in one call of
@@ -306,13 +321,8 @@ def explore_theta(
     if len(names) != m or len(transforms) != m:
         raise ValueError("names/transforms must match theta dimension")
 
-    def stencil(points: np.ndarray) -> Sequence[float]:
-        return logpost_many(points, points[0])
-
-    mode = _optimize_mode(stencil, theta0)
-    f_mode = logpost_fn(mode)
-
-    curv, cov = fd_curvature(stencil, mode)
+    mode, curv, cov = _mode_and_curvature(logpost_many, theta0)
+    f_mode = logpost_many(mode[None], mode)[0]
     if m >= 3:
         design = _lay_ccd(logpost_many, mode, f_mode, curv, names, transforms)
         if design is not None:
@@ -324,20 +334,16 @@ def explore_theta(
     def at(z: np.ndarray) -> np.ndarray:
         return mode + sigma * z * step
 
-    def eval_at(zidx: tuple[int, ...]) -> float:
-        if zidx in values:
-            return values[zidx]
-        val = logpost_fn(at(np.array(zidx, dtype=float)))
-        values[zidx] = val
-        return val
-
     ranges = []
+    anchor = mode
     for j in range(m):
         lo = hi = 0
         for direction in (+1, -1):
             for k in range(1, MAX_AXIS_STEPS + 1):
                 zidx = tuple(direction * k if jj == j else 0 for jj in range(m))
-                val = eval_at(zidx)
+                point = at(np.array(zidx, dtype=float))
+                val = values[zidx] = logpost_many(point[None], anchor)[0]
+                anchor = point
                 if f_mode - val > cutoff:
                     break
             else:
@@ -457,16 +463,6 @@ def _lay_ccd(
         axes=axes,
         scales=(SKEW_PROBE_Z / np.sqrt(2.0 * drop)).reshape(2, m).T,
     )
-
-
-def grid_log_evidence(grid: ThetaGrid) -> float:
-    """Integral of the unnormalized posterior over the integration points:
-    a Riemann sum on a grid, the design's weighted sum on a CCD.
-
-    Every proper normalizing constant is kept by the joint, so differences of
-    this value are comparable across models fit on the same data.
-    """
-    return grid.log_evidence
 
 
 def marginal_hyper(grid: ThetaGrid, j: int, grid_points: int = 401) -> MarginalDensity:
@@ -613,71 +609,75 @@ def _key(theta_arr: np.ndarray) -> tuple[float, ...]:
 
 
 class _ThetaObjective:
-    """Warm-started Laplace objective with a mode cache keyed by coordinates.
+    """The Laplace objective at batches of hyper points, with a mode cache
+    keyed by coordinates.
 
-    The cache maps a point to its batch of modes and its index there.
+    The cache maps a point to its batch of modes and its index there;
+    ``warm`` is the latent mode at the last anchor that has one.
     """
 
     def __init__(self, ctx: ModelContext):
         self.ctx = ctx
-        self.warm: np.ndarray | None = None
+        self.warm = np.zeros(ctx.n_latent)
         self.modes: dict[tuple[float, ...], tuple[ModeResult, int]] = {}
 
-    def __call__(self, theta_arr: np.ndarray) -> float:
-        key = _key(theta_arr)
-        if key in self.modes:
-            res, i = self.modes[key]
-            return float(res.laplace[i])
-        if np.max(np.abs(theta_arr)) > COORD_CAP:
-            return out_of_support(theta_arr)
-        # a stale warm start can strand Newton; retry from the origin
-        for x0 in (self.warm, None):
-            try:
-                res = find_conditional_mode(self.ctx, np.asarray(theta_arr, dtype=float)[None],
-                                            None if x0 is None else x0[None])
-            except _SOLVE_ERRORS:
-                continue
-            self.warm = res.x[0]
-            self.modes[key] = (res, 0)
-            return float(res.laplace[0])
-        return out_of_support(theta_arr)
+    def _open(self, theta: np.ndarray) -> bool:
+        return _key(theta) not in self.modes and np.max(np.abs(theta)) <= COORD_CAP
+
+    def _solve(self, thetas: np.ndarray, start: np.ndarray) -> ModeResult | None:
+        try:
+            return find_conditional_mode(self.ctx, thetas, np.tile(start, (len(thetas), 1)))
+        except _SOLVE_ERRORS:
+            return None
+
+    def _solve_alone(self, theta: np.ndarray, *starts: np.ndarray) -> None:
+        """Solve ``theta`` as a one-point batch from each start in turn until
+        one finds its mode."""
+        for start in starts:
+            res = self._solve(theta[None], start)
+            if res is not None:
+                self.modes[_key(theta)] = (res, 0)
+                return
 
     def many(self, points: np.ndarray, anchor: np.ndarray) -> np.ndarray:
         """Laplace values at the rows of ``points``.
 
-        ``anchor`` is solved first, on the per-point path of ``__call__``.
-        The points not yet cached and inside ``COORD_CAP`` are then solved in
-        chunks of ``model.chunk_size(n)`` points, one
-        ``find_conditional_mode`` per chunk with every block started from the
-        latent mode at ``anchor`` (from the warm start when ``anchor`` has
-        none).  A point that its chunk does not find takes the per-point path
-        of ``__call__``: warm start, origin, out of support.
+        ``anchor`` is solved first on its own, from the previous anchor's
+        latent mode and then from the origin; its mode, when it has one, is
+        the start of every other point.  The points not yet cached and inside
+        ``COORD_CAP`` are solved in chunks of ``model.chunk_size(n)`` points,
+        one ``find_conditional_mode`` per chunk.  A point its chunk does not
+        find is solved again on its own, from the same start and then from
+        the origin.  A point without a mode gets ``model.out_of_support``.
         """
-        size = chunk_size(self.ctx.n)
-        self(anchor)
+        origin = np.zeros(self.ctx.n_latent)
+        if self._open(anchor):
+            self._solve_alone(anchor, self.warm, origin)
         if _key(anchor) in self.modes:
             res, i = self.modes[_key(anchor)]
-            start = res.x[i]
-        else:
-            start = np.zeros(self.ctx.n_latent) if self.warm is None else self.warm
-        starts = np.tile(start, (size, 1))
-        todo = [k for k, theta in enumerate(points)
-                if _key(theta) not in self.modes and np.max(np.abs(theta)) <= COORD_CAP]
+            self.warm = res.x[i]
+        todo = [k for k, theta in enumerate(points) if self._open(theta)]
+        size = chunk_size(self.ctx.n)
         for lo in range(0, len(todo), size):
             chunk = todo[lo:lo + size]
-            try:
-                res = find_conditional_mode(self.ctx, points[chunk], starts[:len(chunk)])
-            except _SOLVE_ERRORS:
-                continue
+            res = self._solve(points[chunk], self.warm)
+            # a one-point chunk was already solved on its own from the start
+            retry = (self.warm, origin) if len(chunk) > 1 else (origin,)
             for i, k in enumerate(chunk):
-                if res.found[i]:
+                if res is not None and res.found[i]:
                     self.modes[_key(points[k])] = (res, i)
-        return np.array([self(theta) for theta in points])
+                else:
+                    self._solve_alone(points[k], *retry)
+        return np.array([self._value(theta) for theta in points])
+
+    def _value(self, theta: np.ndarray) -> float:
+        hit = self.modes.get(_key(theta))
+        return out_of_support(theta) if hit is None else float(hit[0].laplace[hit[1]])
 
     def mode_at(self, theta_arr: np.ndarray) -> tuple[ModeResult, int]:
         key = _key(theta_arr)
         if key not in self.modes:
-            self(theta_arr)
+            self.many(theta_arr[None], theta_arr)
         if key not in self.modes:
             raise ModeConvergenceError(f"no conditional mode at {theta_arr}")
         return self.modes[key]
@@ -691,12 +691,8 @@ def hyper_mode(ctx: ModelContext) -> tuple[np.ndarray, LatentConditional, np.nda
     per-axis standard deviations.  Used to initialize the sampler.
     """
     objective = _ThetaObjective(ctx)
-
-    def stencil(points: np.ndarray) -> np.ndarray:
-        return objective.many(points, points[0])
-
-    mode_arr = _optimize_mode(stencil, moment_start(ctx.y, ctx.q).as_array())
-    curv, cov = fd_curvature(stencil, mode_arr)
+    mode_arr, curv, cov = _mode_and_curvature(objective.many,
+                                              moment_start(ctx.y, ctx.q).as_array())
     res, i = objective.mode_at(mode_arr)
     return mode_arr, res.conditional(i), curv, np.sqrt(np.diag(cov))
 
@@ -721,7 +717,6 @@ def fit_laplace(
     t0 = time.perf_counter()
     objective = _ThetaObjective(ctx)
     grid = explore_theta(
-        objective,
         objective.many,
         moment_start(ctx.y, ctx.q).as_array(),
         names=ctx.hyper_names,
@@ -770,7 +765,7 @@ def fit_laplace(
         dic_val, p_d = selection.dic(fit)
         cpo_res = selection.cpo(fit)
         fit.gof = {
-            "lml": grid_log_evidence(grid),
+            "lml": grid.log_evidence,
             "dic": dic_val,
             "p_d": p_d,
             "mean_log_cpo": cpo_res.mean_log,

@@ -12,7 +12,7 @@ the Gaussian latent conditionals stored in a
   conditionally Gaussian (its exact law under the nested Laplace
   representation) and integrated by Gauss-Hermite quadrature.
 * the log marginal likelihood: the unnormalized posterior integrated over
-  the same points (``laplace.grid_log_evidence``).  All proper normalizing
+  the same points (``ThetaGrid.log_evidence``).  All proper normalizing
   constants are kept, so differences are meaningful between models fit by
   this engine on the same data.
 * ``cpo``: conditional predictive ordinates through the harmonic identity
@@ -38,7 +38,7 @@ from scipy.special import logsumexp
 
 from ._io import atomic_write
 from .distributions import DomainError
-from .laplace import FitResult, grid_log_evidence
+from .laplace import FitResult
 from .model import loglik_rows
 
 __all__ = [
@@ -237,16 +237,9 @@ def compare_models(fits: list[FitResult]) -> ModelComparison:
         for j, name in enumerate(names):
             if name in f.param_names:
                 means[j, m] = f.posterior_mean(name)
-        gof = f.gof
-        if gof is None:
-            lml[m] = grid_log_evidence(f.theta_grid)
-            d, p = dic(f)
-            dic_v[m], p_d[m] = d, p
-            mlc[m] = cpo(f).mean_log
-        else:
-            lml[m] = gof["lml"]
-            dic_v[m], p_d[m] = gof["dic"], gof["p_d"]
-            mlc[m] = gof["mean_log_cpo"]
+        lml[m] = f.theta_grid.log_evidence
+        dic_v[m], p_d[m] = dic(f)
+        mlc[m] = cpo(f).mean_log
 
     return ModelComparison(
         model_names=tuple(model_names),

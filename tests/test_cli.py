@@ -86,6 +86,14 @@ def _error_record(capsys) -> dict:
     return json.loads(lines[0])["error"]
 
 
+def test_engine_is_a_fit_option_only(tmp_path, capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["compare", "--engine", "mcmc", "--out-dir", str(tmp_path)])
+    assert stop.value.code == 2
+    err = _error_record(capsys)
+    assert err["type"] == "UsageError" and "--engine" in err["message"]
+
+
 def test_missing_data_file_is_a_json_error(tmp_path, capsys):
     code = main(["fit", "--data", str(tmp_path / "absent.csv"), "--out-dir", str(tmp_path)])
     assert code == 1

@@ -15,7 +15,6 @@ from betamix.laplace import (
     explore_theta,
     find_conditional_mode,
     fit_laplace,
-    grid_log_evidence,
     hyper_mode,
     marginal_hyper,
 )
@@ -49,11 +48,11 @@ def test_gaussian_target_recovers_marginals_and_evidence():
         return offset + norm_const - 0.5 * d @ prec @ d
 
     names, tr = ("a", "b"), ("identity", "identity")
-    coarse = explore_theta(logpost, _each(logpost), mean + 0.9, names, tr)
-    assert grid_log_evidence(coarse) == pytest.approx(offset, abs=1e-2)
+    coarse = explore_theta(_each(logpost), mean + 0.9, names, tr)
+    assert coarse.log_evidence == pytest.approx(offset, abs=1e-2)
     # a wider cutoff removes the tail-truncation floor on full-support oracles
-    grid = explore_theta(logpost, _each(logpost), mean + 0.9, names, tr, step=0.35, cutoff=12.0)
-    assert grid_log_evidence(grid) == pytest.approx(offset, abs=1e-2)
+    grid = explore_theta(_each(logpost), mean + 0.9, names, tr, step=0.35, cutoff=12.0)
+    assert grid.log_evidence == pytest.approx(offset, abs=1e-2)
     for j in range(2):
         sd = np.sqrt(cov[j, j])
         xs = np.linspace(mean[j] - 8 * sd, mean[j] + 8 * sd, 2001)
@@ -74,10 +73,9 @@ def test_gamma_target_on_log_axis():
         tau = np.exp(u[0])
         return offset + gamma_logpdf(tau, g) + u[0]
 
-    grid = explore_theta(
-        logpost, _each(logpost), [np.log(55.0)], ("tau",), ("exp",), step=0.35, cutoff=12.0
-    )
-    assert grid_log_evidence(grid) == pytest.approx(offset, abs=1e-2)
+    grid = explore_theta(_each(logpost), [np.log(55.0)], ("tau",), ("exp",), step=0.35,
+                         cutoff=12.0)
+    assert grid.log_evidence == pytest.approx(offset, abs=1e-2)
     got = marginal_hyper(grid, 0)
     xs = np.linspace(stats.gamma.ppf(1e-7, 30.0, scale=2.0), stats.gamma.ppf(1 - 1e-9, 30.0, scale=2.0), 3001)
     exact = MarginalDensity(xs, stats.gamma.pdf(xs, 30.0, scale=2.0))
@@ -90,9 +88,9 @@ def test_explorer_grid_grows_with_finer_step_and_wider_cutoff():
         return -0.5 * float(th[0] ** 2 + th[1] ** 2)
 
     names, tr = ("a", "b"), ("identity", "identity")
-    base = explore_theta(logpost, _each(logpost), np.zeros(2), names, tr, step=0.5, cutoff=4.0)
-    finer = explore_theta(logpost, _each(logpost), np.zeros(2), names, tr, step=0.25, cutoff=4.0)
-    wider = explore_theta(logpost, _each(logpost), np.zeros(2), names, tr, step=0.5, cutoff=8.0)
+    base = explore_theta(_each(logpost), np.zeros(2), names, tr, step=0.5, cutoff=4.0)
+    finer = explore_theta(_each(logpost), np.zeros(2), names, tr, step=0.25, cutoff=4.0)
+    wider = explore_theta(_each(logpost), np.zeros(2), names, tr, step=0.5, cutoff=8.0)
     assert base.size < finer.size
     assert base.size < wider.size
     # weights are a proper distribution over retained points
@@ -128,11 +126,11 @@ def test_ccd_is_exact_for_a_correlated_gaussian(m):
 
     names, tr = ("a", "b", "c", "d")[:m], ("identity",) * m
     if m == 4:
-        grid = explore_theta(logpost, _each(logpost), mean, names, tr)
+        grid = explore_theta(_each(logpost), mean, names, tr)
     else:
         grid = laplace._lay_ccd(_each(logpost), mean, logpost(mean), prec, names, tr)
     assert grid.integration == "ccd" and grid.size == {4: 25, 2: 9, 1: 3}[m]
-    assert grid_log_evidence(grid) == pytest.approx(offset, rel=0.0, abs=1e-8)
+    assert grid.log_evidence == pytest.approx(offset, rel=0.0, abs=1e-8)
     got = grid.weights @ grid.theta
     np.testing.assert_allclose(got, mean, rtol=0.0, atol=1e-8)
     centred = grid.theta - got
@@ -154,7 +152,7 @@ def test_ccd_asymmetric_gaussian_follows_skewed_marginals():
                    for j, (a, r) in enumerate(laws))
 
     start = np.log([50.0, 3.0, 30.0, 6.0])
-    grid = explore_theta(logpost, _each(logpost), start, ("a", "b", "c", "d"), ("exp",) * 4)
+    grid = explore_theta(_each(logpost), start, ("a", "b", "c", "d"), ("exp",) * 4)
     assert grid.integration == "ccd"
     for j, (a, r) in enumerate(laws):
         m = marginal_hyper(grid, j)
@@ -385,6 +383,56 @@ def test_point_its_chunk_does_not_find_takes_the_per_point_path(monkeypatch):
     assert dropped & kept
     np.testing.assert_array_equal(grid.theta, plain.theta)
     np.testing.assert_allclose(grid.logpost, plain.logpost, rtol=0.0, atol=1e-5)
+
+
+def _multi_point(thetas, x0):
+    return len(thetas) > 1
+
+
+def _off_origin(thetas, x0):
+    return x0 is not None and bool(np.any(x0))
+
+
+def _always(thetas, x0):
+    return True
+
+
+@pytest.mark.parametrize("fails", [_multi_point, _off_origin, _always],
+                         ids=["multi-point", "off-origin", "every-call"])
+def test_objective_falls_back_point_by_point(monkeypatch, fails):
+    """``_ThetaObjective.many`` on a stencil of 9 points, its centre the
+    anchor, while the solver raises on the calls ``fails`` picks.  When
+    multi-point calls fail, each value is a one-point solve from the same
+    anchor; when calls off the origin fail, a solve from the origin; when
+    every call fails, ``out_of_support``.  A point beyond ``COORD_CAP`` is
+    never solved."""
+    study = simulate_study(seed=9, n_groups=6, n_total=90)
+    ctx = ModelContext(study.data, study.spec, default_priors(study.spec))
+    anchor = moment_start(ctx.y, ctx.q).as_array()
+    steps = 0.3 * np.vstack([np.eye(2), -np.eye(2), [[1, 1], [1, -1], [-1, 1], [-1, -1]]])
+    beyond = np.array([[model.COORD_CAP + 1.0, 0.0]])
+    points = np.vstack([anchor, anchor + steps, beyond])
+    solve, solved = laplace.find_conditional_mode, []
+
+    def failing(ctx, thetas, x0=None):
+        solved.extend(map(tuple, thetas))
+        if fails(thetas, x0):
+            raise model.ModeConvergenceError("forced")
+        return solve(ctx, thetas, x0)
+
+    monkeypatch.setattr(laplace, "find_conditional_mode", failing)
+    got = laplace._ThetaObjective(ctx).many(points, anchor)
+    assert tuple(beyond[0]) not in solved
+    if fails is _always:
+        expected = [model.out_of_support(theta) for theta in points]
+    elif fails is _multi_point:
+        expected = [laplace._ThetaObjective(ctx).many(theta[None], anchor)[0]
+                    for theta in points[:-1]]
+    else:
+        expected = [solve(ctx, theta[None]).laplace[0] for theta in points[:-1]]
+    if fails is not _always:
+        expected.append(model.out_of_support(beyond[0]))
+    np.testing.assert_array_equal(got, expected)
 
 
 # -- full-fit properties -------------------------------------------------------
