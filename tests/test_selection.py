@@ -87,10 +87,11 @@ def test_noise_covariate_changes_dic_little(signal_study):
 
 
 def _log_evidences_q0(y, keep, priors):
-    """Log evidence of the intercept-only model on each data set
-    ``y[keep[k]]``: one vectorised double quadrature, b0 in (-3, 3) inside
-    phi in (1, 1500), with every evidence's error below 1e-6 of it.  The
-    beta density is written out with ``gammaln``."""
+    """Log evidence of the intercept-only model on each data set, the rows
+    of ``y`` that a row of the 0/1 matrix ``keep`` marks: one vectorised
+    double quadrature, b0 in (-3, 3) inside phi in (1, 1500), with every
+    evidence's error below 1e-6 of it.  The beta density is written out
+    with ``gammaln``."""
     log_y, log_1my = np.log(y), np.log1p(-y)
 
     def over_b0(phi):
