@@ -299,6 +299,8 @@ def _cmd_sensitivity(config: AnalysisConfig, args, out_dir: Path) -> dict:
             "prior_hellinger": r.prior_h,
             "posterior_hellinger": r.posterior_h,
             "sensitivity_ratio": r.ratio,
+            "method": r.method,
+            "extension_solves": r.extension_solves,
             "error": r.error,
         })
     return {

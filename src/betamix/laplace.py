@@ -17,7 +17,9 @@ collapses the weights along the other axes and smooths the log weights with
 a cubic spline; on a design it smooths seeded draws from INLA's asymmetric
 Gaussian (Martins, Simpson, Lindgren & Rue 2013), whose per-axis scales come
 from probes at z = +-2 along each eigen-axis.  ``ThetaGrid.log_evidence``
-integrates either rule.  A hyper-mode search that ends unconverged, and a
+integrates either rule.  A grid keeps every point it evaluated, so
+:func:`reweight_fit` moves a grid fit to other hyper priors by the change in
+log prior alone and solves only the points an axis must grow by.  A hyper-mode search that ends unconverged, and a
 design point without a value, log a ``WARNING`` on the ``betamix`` logger;
 the latter falls back to the grid.
 
@@ -88,6 +90,8 @@ __all__ = [
     "marginal_hyper",
     "marginal_latent",
     "fit_laplace",
+    "reweight_fit",
+    "same_node_marginals",
 ]
 
 logger = logging.getLogger("betamix")
@@ -216,6 +220,9 @@ class ThetaGrid:
     scale of each eigen-axis, negative side first.  ``log_evidence`` is the
     unnormalized posterior integrated by the rule; the joint keeps every
     proper normalizing constant, so it compares models fit on the same data.
+    A grid also keeps every point it evaluated (``evaluated``), the axis-scan
+    stop points and the product points beyond the cutoff included, for
+    :func:`reweight_fit`.
     """
 
     theta: np.ndarray  # (T, m) unconstrained coordinates
@@ -229,6 +236,9 @@ class ThetaGrid:
     z_index: np.ndarray | None = None  # grid: (T, m) integer offsets from the mode
     sigma: np.ndarray | None = None  # grid: (m,) axis standardization scales
     step: float = 0.0
+    curv: np.ndarray | None = None  # grid: (m, m) curvature at the mode
+    # grid: every evaluated point's z_index and value, those beyond the cutoff too
+    evaluated: dict[tuple[int, ...], float] | None = None
     axes: np.ndarray | None = None  # ccd: (m, m) eigenvectors over sqrt(eigenvalues)
     scales: np.ndarray | None = None  # ccd: (m, 2)
     conditionals: list[LatentConditional] | None = None
@@ -328,12 +338,35 @@ def explore_theta(
         if design is not None:
             return design
     sigma = np.sqrt(np.diag(cov))
+    values = {tuple([0] * m): f_mode}
+    _grow_grid(logpost_many, values, mode, sigma, curv, step, f_mode, cutoff, names)
+    return _grid_over(values, _within(values, f_mode, cutoff), mode, sigma, curv, step, names,
+                      transforms)
 
-    values: dict[tuple[int, ...], float] = {tuple([0] * m): f_mode}
 
-    def at(z: np.ndarray) -> np.ndarray:
-        return mode + sigma * z * step
+def _grow_grid(
+    logpost_many: Callable[[np.ndarray, np.ndarray], Sequence[float]],
+    values: dict[tuple[int, ...], float],
+    mode: np.ndarray,
+    sigma: np.ndarray,
+    curv: np.ndarray,
+    step: float,
+    top: float,
+    cutoff: float,
+    names: Sequence[str],
+) -> None:
+    """The grid rule of :func:`explore_theta`, adding to ``values`` (integer
+    offsets from the mode, in units of ``sigma * step``, to log posterior).
 
+    Along each axis, in each direction, points are walked until one falls
+    more than ``cutoff`` below ``top``; a point already in ``values`` is
+    read, a new one is a one-point call of ``logpost_many`` anchored at the
+    axis point before it.
+    The product points over the walked ranges that are not in ``values`` and
+    whose quadratic prediction is not hopeless are then one call anchored at
+    the mode.
+    """
+    m = mode.size
     ranges = []
     anchor = mode
     for j in range(m):
@@ -341,16 +374,17 @@ def explore_theta(
         for direction in (+1, -1):
             for k in range(1, MAX_AXIS_STEPS + 1):
                 zidx = tuple(direction * k if jj == j else 0 for jj in range(m))
-                point = at(np.array(zidx, dtype=float))
-                val = values[zidx] = logpost_many(point[None], anchor)[0]
+                point = _lattice(mode, sigma, step, zidx)
+                if zidx not in values:
+                    values[zidx] = logpost_many(point[None], anchor)[0]
                 anchor = point
-                if f_mode - val > cutoff:
+                if top - values[zidx] > cutoff:
                     break
             else:
                 warnings.warn(
                     f"axis {names[j]} did not reach the cutoff within "
                     f"{MAX_AXIS_STEPS} steps; grid truncated",
-                    stacklevel=2,
+                    stacklevel=3,
                 )
                 k = MAX_AXIS_STEPS
             if direction > 0:
@@ -370,21 +404,43 @@ def explore_theta(
         z = np.array(zidx, dtype=float) * step
         if zidx not in values and 0.5 * float(z @ curv_z @ z) <= prune_at:
             pending.append(zidx)
-    points = at(np.array(pending, dtype=float).reshape(-1, m))
+    points = _lattice(mode, sigma, step, np.reshape(pending, (-1, m)))
     values.update(zip(pending, logpost_many(points, mode)))
 
-    # the grid proper drops everything more than `cutoff` below the mode
-    # (axis-scan stop points included); the mode always stays
-    kept = sorted(z for z, val in values.items() if f_mode - val <= cutoff)
-    z_index = np.array(kept, dtype=int)
-    theta_pts = at(z_index.astype(float))
+
+def _lattice(mode: np.ndarray, sigma: np.ndarray, step: float, z) -> np.ndarray:
+    """Grid points at the integer offsets ``z`` (..., m) from the mode.  The
+    one formula of a grid point: the mode cache is keyed by coordinates, so
+    a point must come out the same bit for bit wherever it is made."""
+    return mode + sigma * np.asarray(z, dtype=float) * step
+
+
+def _within(values: dict[tuple[int, ...], float], top: float, cutoff: float) -> list:
+    """The sorted points of ``values`` at most ``cutoff`` below ``top``."""
+    return sorted(z for z, val in values.items() if top - val <= cutoff)
+
+
+def _grid_over(
+    values: dict[tuple[int, ...], float],
+    kept: list[tuple[int, ...]],
+    mode: np.ndarray,
+    sigma: np.ndarray,
+    curv: np.ndarray,
+    step: float,
+    names: Sequence[str],
+    transforms: Sequence[str],
+) -> ThetaGrid:
+    """The grid of the points ``kept`` of ``values``; every evaluated point
+    stays on ``ThetaGrid.evaluated``."""
+    m = mode.size
+    z_index = np.array(kept, dtype=int).reshape(-1, m)
     logpost = np.array([values[z] for z in kept])
     w = np.exp(logpost - np.max(logpost))
     w /= np.sum(w)
     cell_log_volume = float(np.sum(np.log(sigma * step)))
 
     return ThetaGrid(
-        theta=theta_pts,
+        theta=_lattice(mode, sigma, step, z_index),
         logpost=logpost,
         weights=w,
         mode=mode,
@@ -394,6 +450,8 @@ def explore_theta(
         z_index=z_index,
         sigma=sigma,
         step=step,
+        curv=curv,
+        evaluated=values,
     )
 
 
@@ -573,6 +631,8 @@ class FitResult:
     gof: dict[str, float] | None = None
     model_name: str = ""
     _ctx: ModelContext | None = field(default=None, repr=False)
+    # the solver behind the grid, with its latent modes, for reweight_fit
+    _objective: "_ThetaObjective | None" = field(default=None, repr=False, compare=False)
     # the grid sums behind DIC and CPO, filled by selection on first use
     _gof_pass: object = field(default=None, repr=False, compare=False)
 
@@ -724,8 +784,89 @@ def fit_laplace(
         step=opts.step,
         cutoff=opts.cutoff,
     )
-    t_grid = time.perf_counter()
+    return _posterior(ctx, objective, grid, opts, model_name, {"grid": time.perf_counter() - t0})
 
+
+def reweight_fit(fit: FitResult, priors: PriorSpec) -> tuple[FitResult, int]:
+    """``fit`` under other hyperparameter priors, from its own grid.
+
+    The Laplace value at theta is the joint at the conditional mode x*(theta)
+    plus terms of x*(theta) and of the curvature there, and the hyper prior
+    enters the joint only as an added log pi(theta): x*(theta) and the
+    curvature do not depend on it.  So every point the grid evaluated, the
+    axis-scan stop points and the product points beyond the cutoff included,
+    moves by ``ModelContext.hyper_log_prior`` (Jacobian included) under
+    ``priors`` minus the same under ``fit.priors``, and keeps its latent
+    conditional.  The axes are walked again by the grid rule of
+    :func:`explore_theta` against the new maximum, with the fit's step,
+    cutoff, curvature and ``MAX_AXIS_STEPS``; the points that walk adds are
+    the only ones solved, through the fit's objective.  The grid is then
+    re-selected with the fit's cutoff, and the marginals come from the same
+    code as a fit's.
+
+    Returns the reweighted fit and the number of points solved.  A design
+    (``integration == "ccd"``) raises ``ValueError``: its weights assume a
+    Gaussian centred at the old mode, so it needs a refit.
+    """
+    grid = fit.theta_grid
+    if grid.integration != "grid":
+        raise ValueError("only a grid fit can be reweighted; a design needs a refit")
+    t0 = time.perf_counter()
+    old = fit._require_ctx()
+    ctx = ModelContext(old.data, old.spec, priors)
+    objective = fit._objective
+
+    def shifted_many(points: np.ndarray, anchor: np.ndarray) -> np.ndarray:
+        return (objective.many(points, anchor) + ctx.hyper_log_prior(points)
+                - objective.ctx.hyper_log_prior(points))
+
+    zs = list(grid.evaluated)
+    points = _lattice(grid.mode, grid.sigma, grid.step, zs)
+    moved = (np.array(list(grid.evaluated.values())) + ctx.hyper_log_prior(points)
+             - old.hyper_log_prior(points))
+    values = dict(zip(zs, moved.tolist()))
+    cutoff = fit.options.cutoff
+    # walked against the maximum before the walk; a higher point it adds
+    # only lowers what the re-selection keeps
+    _grow_grid(shifted_many, values, grid.mode, grid.sigma, grid.curv, grid.step,
+               max(values.values()), cutoff, grid.names)
+    new_grid = _grid_over(values, _within(values, max(values.values()), cutoff), grid.mode,
+                          grid.sigma, grid.curv, grid.step, grid.names, grid.transforms)
+    timings = {"reweight": time.perf_counter() - t0}
+    return (_posterior(ctx, objective, new_grid, fit.options, fit.model_name, timings),
+            len(values) - len(zs))
+
+
+def same_node_marginals(fit: FitResult, reweighted: FitResult,
+                        name: str) -> tuple[MarginalDensity, MarginalDensity]:
+    """The marginal of hyperparameter ``name`` under ``fit`` and under
+    ``reweighted``, a :func:`reweight_fit` of it, both built on the same
+    nodes: every point evaluated for ``reweighted`` that either fit's cutoff
+    keeps, with each fit's values.  Two fits' own grids keep different
+    ranges of nodes, and the tails one keeps and the other cuts would count
+    in a distance between them as if the posterior had moved."""
+    old, new = fit.theta_grid, reweighted.theta_grid
+    cutoff = fit.options.cutoff
+    zs = list(new.evaluated)
+    points = _lattice(new.mode, new.sigma, new.step, zs)
+    back = (np.array(list(new.evaluated.values())) + fit._require_ctx().hyper_log_prior(points)
+            - reweighted._require_ctx().hyper_log_prior(points))
+    before = {z: old.evaluated.get(z, v) for z, v in zip(zs, back.tolist())}
+    kept = sorted(set(_within(before, max(before.values()), cutoff))
+                  | set(_within(new.evaluated, max(new.evaluated.values()), cutoff)))
+    j = new.names.index(name)
+    return tuple(marginal_hyper(_grid_over(values, kept, new.mode, new.sigma, new.curv, new.step,
+                                           new.names, new.transforms), j,
+                                grid_points=fit.options.grid_points)
+                 for values in (before, new.evaluated))
+
+
+def _posterior(ctx: ModelContext, objective: _ThetaObjective, grid: ThetaGrid,
+               opts: LaplaceOptions, model_name: str, timings: dict[str, float]) -> FitResult:
+    """The fit over the evaluated integration points ``grid``: the latent
+    conditionals from ``objective``'s modes, the marginals and, with
+    ``opts.compute_gof``, the goodness of fit."""
+    t0 = time.perf_counter()
     grid.conditionals = [res.conditional(i)
                          for res, i in (objective.mode_at(theta) for theta in grid.theta)]
 
@@ -742,21 +883,22 @@ def fit_laplace(
         else:
             marginals["rho"] = kde_density(covariance_rho(grid.theta[:, 1:]),
                                            weights=grid.weights, name="rho")
-    t_marg = time.perf_counter()
+    timings["marginals"] = time.perf_counter() - t0
 
     fit = FitResult(
         marginals=marginals,
         theta_grid=grid,
         param_names=ctx.param_names,
         latent_names=ctx.latent_names,
-        spec=spec,
-        priors=priors,
-        data_fingerprint=data.fingerprint(),
-        n_obs=data.n,
+        spec=ctx.spec,
+        priors=ctx.priors,
+        data_fingerprint=ctx.data.fingerprint(),
+        n_obs=ctx.n,
         options=opts,
-        timings={"grid": t_grid - t0, "marginals": t_marg - t_grid},
+        timings=timings,
         model_name=model_name,
         _ctx=ctx,
+        _objective=objective,
     )
     if opts.compute_gof:
         from . import selection

@@ -1,10 +1,15 @@
 """Prior sensitivity analysis through Hellinger distances.
 
 The workflow: pick target Hellinger distances, calibrate shifted gamma
-priors that sit exactly that far from the default prior, refit the model
-under
-each shifted prior, and measure how far the posterior marginal of the
-scanned parameter moved.  The sensitivity ratio S (posterior shift divided
+priors that sit exactly that far from the default prior, take the posterior
+under each shifted prior, and measure how far the posterior marginal of the
+scanned parameter moved.  A grid fit (q = 0 and 1, or a q = 2 design's grid
+fallback) is not refit: the shifted prior only adds log pi_new - log pi_old
+to each evaluated hyper point, so the default fit's points are reweighted
+(``laplace.reweight_fit``), and only points an axis must grow by are
+solved.  A q = 2 fit on the central composite design is refit under each
+shifted prior, because the design's weights assume a Gaussian centred at
+the old mode.  The sensitivity ratio S (posterior shift divided
 by prior shift) summarizes robustness: S well below 1 means the data wash
 out the prior perturbation.
 
@@ -34,7 +39,7 @@ from scipy.special import gammaln
 from ._io import atomic_write
 from .density import MarginalDensity
 from .distributions import DomainError, GammaShapeRate
-from .laplace import LaplaceOptions, fit_laplace
+from .laplace import LaplaceOptions, fit_laplace, reweight_fit, same_node_marginals
 from .model import Dataset, ModelSpec, fork_map
 from .priors import PriorSpec, default_priors
 
@@ -142,7 +147,13 @@ def calibrate_prior(default: GammaShapeRate, target_h: float) -> GammaShapeRate:
 
 @dataclass(frozen=True)
 class ScanRow:
-    """One shifted-prior refit: distances, ratio and the refit summary."""
+    """The posterior under one shifted prior: distances, ratio and summary.
+
+    ``method`` says how it was computed: ``"reweighted"`` from the default
+    fit's grid, with ``extension_solves`` new points solved, or
+    ``"refit"``, a full fit on the central composite design (no extension
+    solves).
+    """
 
     target: float
     prior: GammaShapeRate | None
@@ -150,6 +161,8 @@ class ScanRow:
     posterior_h: float
     ratio: float
     summary: dict | None
+    method: str
+    extension_solves: int
     error: str | None = None
 
     @property
@@ -227,16 +240,6 @@ def _scan_setup(spec: ModelSpec, priors: PriorSpec, param: str,
     raise DomainError("scan parameter must be 'phi' or 'tau'")
 
 
-def _failed(exc: Exception) -> str:
-    return f"{type(exc).__name__}: {exc}"
-
-
-def _error_row(target: float, error: str) -> ScanRow:
-    nan = float("nan")
-    return ScanRow(target=target, prior=None, prior_h=nan, posterior_h=nan, ratio=nan,
-                   summary=None, error=error)
-
-
 def sensitivity_scan(
     data: Dataset,
     spec: ModelSpec,
@@ -246,16 +249,19 @@ def sensitivity_scan(
     base_prior: GammaShapeRate | None = None,
     options: LaplaceOptions | None = None,
 ) -> SensitivityReport:
-    """Refit under calibrated prior shifts and measure posterior movement.
+    """The posterior under calibrated prior shifts and how far it moved.
 
-    For each target distance: calibrate a shifted gamma prior, refit, and
-    compare the scanned parameter's posterior marginal (natural scale)
-    against the default fit's.  The default fit and the refits read nothing
-    of one another, so they run in up to nproc forked workers
-    (``model.fork_map``), equal bit for bit to a serial run; each returns
-    its marginal and summary, and the distances are taken here.  A failed
-    refit is recorded on its row with the error message; the scan continues.
-    A failed default fit raises.
+    Fits once under the base prior.  For each target distance: calibrate a
+    shifted gamma prior, take the posterior under it and compare the scanned
+    parameter's marginal (natural scale) against the default fit's.  On a
+    grid the posterior is the default fit reweighted (``reweight_fit``), and
+    the two marginals compared are built on the same nodes
+    (``same_node_marginals``).  On a central
+    composite design each target is a full refit; the refits read nothing of
+    one another, so they run in up to nproc forked workers
+    (``model.fork_map``), equal bit for bit to a serial run.  A failed row
+    is recorded with the error message and the scan continues.  A failed
+    default fit raises.
     """
     targets = [float(t) for t in targets]
     if not targets or any(not 0.0 < t < 1.0 for t in targets):
@@ -269,41 +275,41 @@ def sensitivity_scan(
     options = options or LaplaceOptions()
     options = replace(options, compute_gof=False)
 
-    def fit(prior: GammaShapeRate) -> tuple[MarginalDensity, dict]:
-        fitted = fit_laplace(data, spec, priors=put(priors, prior), options=options)
-        return fitted.marginal(marginal_name), fitted.summary()
+    def fit(prior: GammaShapeRate):
+        return fit_laplace(data, spec, priors=put(priors, prior), options=options)
 
-    def refit(i: int):
-        """Task 0 is the default fit; task i > 0 refits at ``targets[i - 1]``
-        and returns its prior too, or the error message of its failure."""
-        if i == 0:
-            return fit(base)
+    default = fit(base)
+    reweight = default.theta_grid.integration == "grid"
+    method = "reweighted" if reweight else "refit"
+
+    def row(target: float) -> ScanRow:
         try:
-            shifted = calibrate_prior(base, targets[i - 1])
-            return (shifted, *fit(shifted))
+            prior = calibrate_prior(base, target)
+            if reweight:
+                fitted, solves = reweight_fit(default, put(priors, prior))
+                pair = same_node_marginals(default, fitted, marginal_name)
+            else:
+                fitted, solves = fit(prior), 0
+                pair = default.marginal(marginal_name), fitted.marginal(marginal_name)
+            pri_h = gamma_hellinger_closed(base, prior)
+            post_h = hellinger(*pair)
+            return ScanRow(target=target, prior=prior, prior_h=pri_h, posterior_h=post_h,
+                           ratio=post_h / pri_h, summary=fitted.summary(), method=method,
+                           extension_solves=solves)
         except Exception as exc:  # noqa: BLE001 - a row failure must not kill the scan
-            return _failed(exc)
+            nan = float("nan")
+            return ScanRow(target=target, prior=None, prior_h=nan, posterior_h=nan, ratio=nan,
+                           summary=None, method=method, extension_solves=0,
+                           error=f"{type(exc).__name__}: {exc}")
 
-    (default_marg, default_summary), *refits = fork_map(refit, 1 + len(targets))
-    rows: list[ScanRow] = []
-    for t, out in zip(targets, refits):
-        if isinstance(out, str):
-            rows.append(_error_row(t, out))
-            continue
-        shifted, marg_t, summary = out
-        try:
-            pri_h = gamma_hellinger_closed(base, shifted)
-            post_h = hellinger(default_marg, marg_t)
-        except Exception as exc:  # noqa: BLE001 - a row failure must not kill the scan
-            rows.append(_error_row(t, _failed(exc)))
-            continue
-        rows.append(ScanRow(target=t, prior=shifted, prior_h=pri_h, posterior_h=post_h,
-                            ratio=post_h / pri_h, summary=summary))
-
+    if reweight:
+        rows = [row(t) for t in targets]
+    else:
+        rows = fork_map(lambda i: row(targets[i]), len(targets))
     return SensitivityReport(
         param=param,
         marginal_name=marginal_name,
         base_prior=base,
-        default_summary=default_summary,
+        default_summary=default.summary(),
         rows=tuple(rows),
     )

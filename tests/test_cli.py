@@ -54,6 +54,14 @@ def test_subcommand_writes_a_valid_summary(study_csv, tmp_path, argv, command):
     if command == "mcmc":
         # site labels are the sampler's string keys, written as they are
         assert {"('beta', 0)", "('theta',)"} <= set(summary["diagnostics"]["acceptance"])
+    if command == "sensitivity":
+        # a q = 1 scan reweights the default fit; the schema holds both fields
+        (row,) = summary["rows"]
+        assert row["method"] == "reweighted" and row["extension_solves"] >= 0
+        for key, bad in (("method", "resampled"), ("extension_solves", -1),
+                         ("extension_solves", 0.5)):
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate({**summary, "rows": [{**row, key: bad}]}, SCHEMA)
 
 
 @pytest.mark.parametrize("model, integration",

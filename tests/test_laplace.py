@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy import integrate, optimize, stats
+from scipy.special import gammaln
 
 from betamix import laplace, model
 from betamix.density import MarginalDensity
@@ -20,7 +21,7 @@ from betamix.laplace import (
 )
 from betamix.model import Dataset, HyperPoint, ModelContext, ModelSpec, moment_start
 from betamix.priors import WishartPrior, default_priors
-from betamix.sensitivity import hellinger
+from betamix.sensitivity import PHI_SCAN_DEFAULT, calibrate_prior, hellinger
 from betamix.simulate import simulate_study
 
 PARAMS = ("beta_intercept", "beta_size_Medium", "beta_size_Small", "beta_income", "phi", "tau1_sq")
@@ -289,24 +290,26 @@ def test_no_random_effects_evidence_matches_quadrature():
     priors = default_priors(spec)
     fit = fit_laplace(data, spec, options=LaplaceOptions(step=0.35, cutoff=10.0))
 
-    from betamix.distributions import beta_logpdf_arrays
+    # every row shares one mean, so the summed beta log density is closed
+    # form in the sums of log y and log(1 - y), written with gammaln; it
+    # takes a scalar phi (the evidence) or a vector (the phi posterior)
+    sum_log_y, sum_log_1my = np.sum(np.log(y)), np.sum(np.log1p(-y))
 
-    def integrand(b0, phi):
-        mu = 1.0 / (1.0 + np.exp(-b0))
-        ll = float(np.sum(beta_logpdf_arrays(y, np.full(n, mu), np.full(n, phi))))
-        return np.exp(ll + gamma_logpdf(phi, priors.phi))
+    def log_joint(b0, phi):
+        a = phi / (1.0 + np.exp(-b0))
+        b = phi - a
+        return (n * (gammaln(phi) - gammaln(a) - gammaln(b)) + (a - 1.0) * sum_log_y
+                + (b - 1.0) * sum_log_1my + gamma_logpdf(phi, priors.phi))
 
-    val, err = integrate.dblquad(integrand, 1.0, 3000.0, -2.0, 2.0)
+    val, err = integrate.dblquad(lambda b0, phi: np.exp(log_joint(b0, phi)),
+                                 1.0, 3000.0, -2.0, 2.0)
     assert err < 1e-6 * val
     assert fit.gof["lml"] == pytest.approx(np.log(val), abs=1e-3)
-    # the phi marginal agrees with the quadrature posterior too
-
-    def phi_post(phi):
-        v, _ = integrate.quad(lambda b0: integrand(b0, phi), -2.0, 2.0)
-        return v
-
+    # the phi marginal agrees with the quadrature posterior too: one
+    # quad_vec over b0 at all 376 abscissae
     xs = np.linspace(25.0, 400.0, 376)
-    exact = MarginalDensity(xs, np.array([phi_post(x) for x in xs]))
+    post, _ = integrate.quad_vec(lambda b0: np.exp(log_joint(b0, xs)), -2.0, 2.0, norm="max")
+    exact = MarginalDensity(xs, post)
     assert hellinger(exact, fit.marginal("phi")) < 0.01
 
 
@@ -460,6 +463,50 @@ def test_fit_is_deterministic(default_study, default_fit):
     np.testing.assert_array_equal(
         default_fit.marginal("phi").pdf, again.marginal("phi").pdf
     )
+
+
+def test_reweight_fit_moves_every_evaluated_point_by_the_prior_change():
+    """Each point the reweighted grid evaluated, the default fit's stop and
+    beyond-cutoff points and the extension's new points alike, against a
+    solve under the shifted prior from scratch, to the Newton tolerance of
+    ``test_batched_modes_match_per_point_modes``; the kept points are those
+    within the cutoff of the new maximum."""
+    study = simulate_study(seed=1)
+    priors = replace(default_priors(study.spec), phi=PHI_SCAN_DEFAULT)
+    fit = fit_laplace(study.data, study.spec, priors=priors,
+                      options=LaplaceOptions(compute_gof=False))
+    shifted = replace(priors, phi=calibrate_prior(PHI_SCAN_DEFAULT, 0.6))
+    new, solves = laplace.reweight_fit(fit, shifted)
+    grid, old = new.theta_grid, fit.theta_grid
+    assert solves >= 1 and solves == len(grid.evaluated) - len(old.evaluated)
+    assert set(old.evaluated) < set(grid.evaluated)
+
+    zs = list(grid.evaluated)
+    points = grid.mode + grid.sigma * np.array(zs, dtype=float) * grid.step
+    ctx = ModelContext(study.data, study.spec, shifted)
+    direct = laplace._ThetaObjective(ctx).many(points, grid.mode)
+    got = np.array(list(grid.evaluated.values()))
+    assert np.all(np.abs(got - direct) <= 2e-6 * np.sqrt(1.0 + np.abs(direct)))
+
+    top = max(grid.evaluated.values())
+    kept = sorted(z for z, v in grid.evaluated.items() if top - v <= fit.options.cutoff)
+    assert [tuple(z) for z in grid.z_index.tolist()] == kept
+    assert set(kept) - {tuple(z) for z in old.z_index.tolist()}, "no former stop point kept"
+    assert new.priors == shifted and new.theta_grid.conditionals is not None
+
+    same, none = laplace.reweight_fit(fit, priors)
+    assert none == 0
+    np.testing.assert_allclose(same.theta_grid.logpost, old.logpost, rtol=1e-14)
+    for name, s in fit.summary().items():
+        for key, v in s.items():
+            assert same.summary()[name][key] == pytest.approx(v, rel=1e-10), (name, key)
+
+
+def test_a_design_is_not_reweighted(slope_fits):
+    design = slope_fits["default"][1]
+    assert design.theta_grid.integration == "ccd"
+    with pytest.raises(ValueError, match="grid"):
+        laplace.reweight_fit(design, design.priors)
 
 
 def test_fit_invariant_to_row_order(default_study, default_fit, rng):

@@ -2,6 +2,7 @@
 
 import logging
 import multiprocessing
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ import betamix.sensitivity as sens_mod
 from betamix import model
 from betamix.density import MarginalDensity
 from betamix.distributions import DomainError, GammaShapeRate
+from betamix.laplace import LaplaceOptions, fit_laplace
 from betamix.model import Dataset, ModelSpec
+from betamix.priors import default_priors
 from betamix.sensitivity import (
     PHI_SCAN_DEFAULT,
     calibrate_prior,
@@ -19,6 +22,7 @@ from betamix.sensitivity import (
     hellinger,
     sensitivity_scan,
 )
+from betamix.simulate import simulate_study
 
 TAU_BASE = GammaShapeRate(0.5, 0.001487)
 
@@ -200,18 +204,16 @@ def test_scan_validates_parameter(tiny_data):
 
 def test_failed_refit_is_recorded_not_raised(tiny_data, monkeypatch, tmp_path):
     spec = ModelSpec(fixed=(), random="none")
-    real = sens_mod.fit_laplace
-    # the refit at the second target fails; chosen by its prior, not by call
-    # order, because the fits may run in forked workers
-    failing_rate = calibrate_prior(PHI_SCAN_DEFAULT, 0.4).rate
+    real = sens_mod.calibrate_prior
 
-    def flaky(*args, **kwargs):
-        if kwargs["priors"].phi.rate == failing_rate:
+    # the row at the second target fails in its calibration, a step a
+    # reweighted row still takes
+    def flaky(default, target):
+        if target == 0.4:
             raise RuntimeError("boom")
-        return real(*args, **kwargs)
+        return real(default, target)
 
-    monkeypatch.setattr(sens_mod, "fit_laplace", flaky)
-    monkeypatch.setattr(model, "_cpus", lambda: 2)
+    monkeypatch.setattr(sens_mod, "calibrate_prior", flaky)
     report = sensitivity_scan(tiny_data, spec, param="phi", targets=(0.2, 0.4))
     assert report.rows[0].ok
     assert not report.rows[1].ok
@@ -225,20 +227,33 @@ def test_failed_refit_is_recorded_not_raised(tiny_data, monkeypatch, tmp_path):
     assert "RuntimeError: boom" in text
 
 
-def test_forked_scan_equals_the_serial_scan(tiny_data, tiny_scan, monkeypatch):
-    """The default fit and two refits on two workers against one process."""
-    spec = ModelSpec(fixed=(), random="none")
+@pytest.fixture(scope="module")
+def ccd_data():
+    """A small intercept+slope study: its fits integrate on the central
+    composite design, so a scan of it refits."""
+    return simulate_study(seed=1, n_total=160, random="intercept+slope")
+
+
+@pytest.fixture(scope="module")
+def ccd_scan(ccd_data):
+    return sensitivity_scan(ccd_data.data, ccd_data.spec, param="phi", targets=(0.2, 0.4))
+
+
+def test_forked_scan_equals_the_serial_scan(ccd_data, ccd_scan, monkeypatch):
+    """Two refits on two workers against one process."""
+    assert [(r.method, r.extension_solves) for r in ccd_scan.rows] == [("refit", 0)] * 2
     reports = {}
     for cpus in (2, 1):
         monkeypatch.setattr(model, "_cpus", lambda cpus=cpus: cpus)
-        reports[cpus] = sensitivity_scan(tiny_data, spec, param="phi", targets=(0.2, 0.4))
+        reports[cpus] = sensitivity_scan(ccd_data.data, ccd_data.spec, param="phi",
+                                         targets=(0.2, 0.4))
         assert multiprocessing.active_children() == []
     forked, serial = reports[2], reports[1]
     assert forked.rows == serial.rows
     assert [r.ratio for r in forked.rows] == [r.ratio for r in serial.rows]
     assert forked.default_summary == serial.default_summary
     assert [r.summary for r in forked.rows] == [r.summary for r in serial.rows]
-    assert forked == serial == tiny_scan
+    assert forked == serial == ccd_scan
 
 
 def test_a_failing_default_fit_raises_and_leaves_no_worker(tiny_data, monkeypatch):
@@ -257,9 +272,11 @@ def test_a_failing_default_fit_raises_and_leaves_no_worker(tiny_data, monkeypatc
     assert multiprocessing.active_children() == []
 
 
-def test_warnings_of_each_fit_are_logged_once_in_fit_order(tiny_data, monkeypatch, caplog):
-    """An unconverged hyper-mode search in every fit, as in the Laplace tests."""
-    spec = ModelSpec(fixed=(), random="none")
+def test_warnings_of_each_fit_are_logged_once_in_fit_order(ccd_data, monkeypatch, caplog):
+    """An unconverged hyper-mode search in every fit, as in the Laplace
+    tests: the default fit in process, then the two forked refits.  A cap of
+    20 search iterations stops every search of this study short, yet close
+    enough to the mode that the design holds."""
     real = sens_mod.fit_laplace
 
     def announced(*args, **kwargs):
@@ -267,17 +284,33 @@ def test_warnings_of_each_fit_are_logged_once_in_fit_order(tiny_data, monkeypatc
         return real(*args, **kwargs)
 
     monkeypatch.setattr(sens_mod, "fit_laplace", announced)
-    monkeypatch.setattr(model, "MAXIMIZE_ITER", 1)
+    monkeypatch.setattr(model, "MAXIMIZE_ITER", 20)
     monkeypatch.setattr(model, "_cpus", lambda: 2)
     caplog.set_level(logging.WARNING, logger="betamix")
-    report = sensitivity_scan(tiny_data, spec, param="phi", targets=(0.2, 0.4))
+    report = sensitivity_scan(ccd_data.data, ccd_data.spec, param="phi", targets=(0.2, 0.4))
     assert all(row.ok for row in report.rows)
+    assert all(row.method == "refit" for row in report.rows)
     rates = [PHI_SCAN_DEFAULT.rate, *(row.prior.rate for row in report.rows)]
     messages = [r.getMessage() for r in caplog.records if r.name == "betamix"]
     assert len(messages) == 2 * len(rates)
     for rate, announce, warning in zip(rates, messages[::2], messages[1::2]):
         assert announce == f"fit at rate {rate!r}"
         assert warning.startswith("hyper-mode search did not converge")
+
+
+def test_a_reweighted_scan_fits_once(tiny_data, monkeypatch):
+    spec = ModelSpec(fixed=(), random="none")
+    real = sens_mod.fit_laplace
+    priors = []
+
+    def counted(*args, **kwargs):
+        priors.append(kwargs["priors"].phi)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sens_mod, "fit_laplace", counted)
+    report = sensitivity_scan(tiny_data, spec, param="phi", targets=(0.2, 0.4))
+    assert priors == [PHI_SCAN_DEFAULT]
+    assert [(r.method, r.extension_solves) for r in report.rows] == [("reweighted", 0)] * 2
 
 
 def test_report_csv_layout(tiny_scan, tmp_path):
@@ -297,3 +330,60 @@ def test_report_csv_layout(tiny_scan, tmp_path):
     assert "H0.2_mean" in header and "H0.4_sd" in header
     # one body row per parameter in the default summary
     assert len(rows) == 1 + len(tiny_scan.default_summary)
+
+
+# -- reweighting against fine-grid refits --------------------------------------
+
+#: tolerances of a reweighted row against a full refit on a fine grid, set
+#: before the reweighting was written: the posterior Hellinger distance within
+#: 10 % of the reference's, every posterior mean within 0.05 reference SD and
+#: every posterior SD within 5 %
+H_RTOL = 0.10
+MEAN_SD_TOL = 0.05
+SD_RTOL = 0.05
+FINE = LaplaceOptions(step=0.25, cutoff=10.0, compute_gof=False)
+
+
+def _refit_reference(study, param, targets):
+    """Posterior distances and summaries of full refits on the fine grid."""
+    priors = default_priors(study.spec)
+    if param == "phi":
+        base, name, put = PHI_SCAN_DEFAULT, "phi", lambda g: replace(priors, phi=g)
+    else:
+        base, name, put = priors.require_raneff_gamma(), "tau1_sq", lambda g: replace(priors,
+                                                                                     raneff=g)
+    default = fit_laplace(study.data, study.spec, priors=put(base), options=FINE)
+    out = []
+    for t in targets:
+        refit = fit_laplace(study.data, study.spec, priors=put(calibrate_prior(base, t)),
+                            options=FINE)
+        out.append((hellinger(default.marginal(name), refit.marginal(name)), refit.summary()))
+    return out
+
+
+def _assert_matches_reference(report, reference):
+    for row, (ref_h, ref_summary) in zip(report.rows, reference):
+        assert row.ok and row.method == "reweighted"
+        assert row.posterior_h == pytest.approx(ref_h, rel=H_RTOL), row.target
+        for name, ref in ref_summary.items():
+            got = row.summary[name]
+            assert abs(got["mean"] - ref["mean"]) <= MEAN_SD_TOL * ref["sd"], (row.target, name)
+            assert got["sd"] == pytest.approx(ref["sd"], rel=SD_RTOL), (row.target, name)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("param", ["tau", "phi"])
+def test_reweighted_scan_matches_fine_grid_refits(seed, param):
+    study = simulate_study(seed=seed)
+    targets = (0.1, 0.3)
+    report = sensitivity_scan(study.data, study.spec, param=param, targets=targets)
+    _assert_matches_reference(report, _refit_reference(study, param, targets))
+
+
+def test_large_phi_shift_extends_the_grid_and_matches_the_refit():
+    """At the CLI's largest default target the shifted posterior reaches past
+    the default fit's evaluated points, so the grid must grow."""
+    study = simulate_study(seed=1)
+    report = sensitivity_scan(study.data, study.spec, param="phi", targets=(0.6,))
+    assert report.rows[0].extension_solves >= 1
+    _assert_matches_reference(report, _refit_reference(study, "phi", (0.6,)))
