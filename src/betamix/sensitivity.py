@@ -9,9 +9,9 @@ to each evaluated hyper point, so the default fit's points are reweighted
 (``laplace.reweight_fit``), and only points an axis must grow by are
 solved.  A q = 2 fit on the central composite design is refit under each
 shifted prior, because the design's weights assume a Gaussian centred at
-the old mode.  The sensitivity ratio S (posterior shift divided
-by prior shift) summarizes robustness: S well below 1 means the data wash
-out the prior perturbation.
+the old mode.  The sensitivity ratio S (posterior shift divided by prior
+shift) summarizes robustness: S well below 1 means the data wash out the
+prior perturbation.
 
 ``hellinger`` accepts either callables (integrated by adaptive quadrature)
 or gridded :class:`~betamix.density.MarginalDensity` objects (integrated by
@@ -39,7 +39,7 @@ from scipy.special import gammaln
 from ._io import atomic_write
 from .density import MarginalDensity
 from .distributions import DomainError, GammaShapeRate
-from .laplace import LaplaceOptions, fit_laplace, reweight_fit, same_node_marginals
+from .laplace import FitResult, LaplaceOptions, fit_laplace, reweight_fit, same_node_marginals
 from .model import Dataset, ModelSpec, fork_map
 from .priors import PriorSpec, default_priors
 
@@ -256,12 +256,11 @@ def sensitivity_scan(
     parameter's marginal (natural scale) against the default fit's.  On a
     grid the posterior is the default fit reweighted (``reweight_fit``), and
     the two marginals compared are built on the same nodes
-    (``same_node_marginals``).  On a central
-    composite design each target is a full refit; the refits read nothing of
-    one another, so they run in up to nproc forked workers
-    (``model.fork_map``), equal bit for bit to a serial run.  A failed row
-    is recorded with the error message and the scan continues.  A failed
-    default fit raises.
+    (``same_node_marginals``).  On a central composite design each target is
+    a full refit; the refits read nothing of one another, so they run in up
+    to nproc forked workers (``model.fork_map``), equal bit for bit to a
+    serial run.  A failed row is recorded with the error message and the
+    scan continues.  A failed default fit raises.
     """
     targets = [float(t) for t in targets]
     if not targets or any(not 0.0 < t < 1.0 for t in targets):
@@ -275,7 +274,7 @@ def sensitivity_scan(
     options = options or LaplaceOptions()
     options = replace(options, compute_gof=False)
 
-    def fit(prior: GammaShapeRate):
+    def fit(prior: GammaShapeRate) -> FitResult:
         return fit_laplace(data, spec, priors=put(priors, prior), options=options)
 
     default = fit(base)

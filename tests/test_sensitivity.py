@@ -228,24 +228,24 @@ def test_failed_refit_is_recorded_not_raised(tiny_data, monkeypatch, tmp_path):
 
 
 @pytest.fixture(scope="module")
-def ccd_data():
+def ccd_study():
     """A small intercept+slope study: its fits integrate on the central
     composite design, so a scan of it refits."""
     return simulate_study(seed=1, n_total=160, random="intercept+slope")
 
 
 @pytest.fixture(scope="module")
-def ccd_scan(ccd_data):
-    return sensitivity_scan(ccd_data.data, ccd_data.spec, param="phi", targets=(0.2, 0.4))
+def ccd_scan(ccd_study):
+    return sensitivity_scan(ccd_study.data, ccd_study.spec, param="phi", targets=(0.2, 0.4))
 
 
-def test_forked_scan_equals_the_serial_scan(ccd_data, ccd_scan, monkeypatch):
+def test_forked_scan_equals_the_serial_scan(ccd_study, ccd_scan, monkeypatch):
     """Two refits on two workers against one process."""
     assert [(r.method, r.extension_solves) for r in ccd_scan.rows] == [("refit", 0)] * 2
     reports = {}
     for cpus in (2, 1):
         monkeypatch.setattr(model, "_cpus", lambda cpus=cpus: cpus)
-        reports[cpus] = sensitivity_scan(ccd_data.data, ccd_data.spec, param="phi",
+        reports[cpus] = sensitivity_scan(ccd_study.data, ccd_study.spec, param="phi",
                                          targets=(0.2, 0.4))
         assert multiprocessing.active_children() == []
     forked, serial = reports[2], reports[1]
@@ -272,7 +272,7 @@ def test_a_failing_default_fit_raises_and_leaves_no_worker(tiny_data, monkeypatc
     assert multiprocessing.active_children() == []
 
 
-def test_warnings_of_each_fit_are_logged_once_in_fit_order(ccd_data, monkeypatch, caplog):
+def test_warnings_of_each_fit_are_logged_once_in_fit_order(ccd_study, monkeypatch, caplog):
     """An unconverged hyper-mode search in every fit, as in the Laplace
     tests: the default fit in process, then the two forked refits.  A cap of
     20 search iterations stops every search of this study short, yet close
@@ -287,7 +287,7 @@ def test_warnings_of_each_fit_are_logged_once_in_fit_order(ccd_data, monkeypatch
     monkeypatch.setattr(model, "MAXIMIZE_ITER", 20)
     monkeypatch.setattr(model, "_cpus", lambda: 2)
     caplog.set_level(logging.WARNING, logger="betamix")
-    report = sensitivity_scan(ccd_data.data, ccd_data.spec, param="phi", targets=(0.2, 0.4))
+    report = sensitivity_scan(ccd_study.data, ccd_study.spec, param="phi", targets=(0.2, 0.4))
     assert all(row.ok for row in report.rows)
     assert all(row.method == "refit" for row in report.rows)
     rates = [PHI_SCAN_DEFAULT.rate, *(row.prior.rate for row in report.rows)]
