@@ -7,7 +7,7 @@ gradient (``model.maximize``), takes the two-stage finite-difference
 curvature there (``model.fd_curvature``) and lays the integration points.
 With m <= 2 hyperparameters (q = 0, 1) they are an axis-aligned grid
 (z-step 0.75 in units of the marginal standard deviations) trimmed where the
-log density falls more than 6.0 below the mode; with m >= 3 (q = 2) they are
+log density falls more than 6.0 below the largest value evaluated; with m >= 3 (q = 2) they are
 INLA's central composite design in the eigen-standardized coordinates of the
 curvature, 25 points for m = 4 (Rue, Martino & Chopin 2009, section 6.5), as
 R-INLA's ``int.strategy="auto"`` chooses.  :func:`marginal_hyper` gives the
@@ -19,9 +19,10 @@ Gaussian (Martins, Simpson, Lindgren & Rue 2013), whose per-axis scales come
 from probes at z = +-2 along each eigen-axis.  ``ThetaGrid.log_evidence``
 integrates either rule.  A grid keeps every point it evaluated, so
 :func:`reweight_fit` moves a grid fit to other hyper priors by the change in
-log prior alone and solves only the points an axis must grow by.  A hyper-mode search that ends unconverged, and a
-design point without a value, log a ``WARNING`` on the ``betamix`` logger;
-the latter falls back to the grid.
+log prior alone and solves only the points an axis must grow by.  A
+hyper-mode search that ends unconverged, and a design point without a value,
+log a ``WARNING`` on the ``betamix`` logger; the latter falls back to the
+grid.
 
 The model layer supplies that log posterior: for each hyperparameter point
 the core's damped Newton (``model.newton_ascent``, analytic gradient and
@@ -31,16 +32,10 @@ Laplace identity
     log pi(theta | y)  ~=  joint(x*, theta) + dim/2 log 2 pi - 1/2 logdet(-H)
 
 is evaluated with the block Cholesky factorization.  Every evaluation is one
-batch call with an anchor: each stencil of the mode search and of the
-curvature is anchored at its centre, the product stage of the grid and the
-design with its probes at the hyper mode, and each axis-scan point at the
-axis point evaluated before it.  The anchor is solved first, warm started
-from the previous anchor's latent mode, and the other points go in chunks
-of ``model.chunk_size(n)`` (B points times n rows at most
-``model.CHUNK_ROWS``), one ``newton_ascent`` per chunk with one block per
-point, every block started from the latent mode at the anchor; a point its
-chunk does not find is solved on its own.  Latent marginals are Gaussian
-mixtures over the integration points (no skewness correction).
+batch call whose row 0 is the warm-start anchor (see ``model``): a stencil's
+centre, the hyper mode for the grid's product stage and the design, and for
+each axis-scan point the axis point evaluated before it.  Latent marginals
+are Gaussian mixtures over the integration points (no skewness correction).
 """
 
 from __future__ import annotations
@@ -281,21 +276,8 @@ def _optimize_mode(many, theta0: np.ndarray) -> np.ndarray:
     return best.x
 
 
-def _mode_and_curvature(
-    logpost_many: Callable[[np.ndarray, np.ndarray], Sequence[float]], theta0: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The hyper mode (:func:`_optimize_mode`), then ``model.fd_curvature``
-    there and its inverse; every stencil is one call of ``logpost_many``
-    anchored at its centre, row 0."""
-    def stencil(points: np.ndarray) -> Sequence[float]:
-        return logpost_many(points, points[0])
-
-    mode = _optimize_mode(stencil, theta0)
-    return (mode, *fd_curvature(stencil, mode))
-
-
 def explore_theta(
-    logpost_many: Callable[[np.ndarray, np.ndarray], Sequence[float]],
+    logpost_many: Callable[[np.ndarray], Sequence[float]],
     theta0: Sequence[float],
     names: Sequence[str],
     transforms: Sequence[str],
@@ -304,25 +286,15 @@ def explore_theta(
 ) -> ThetaGrid:
     """Locate the hyperparameter mode and lay the integration points.
 
-    ``logpost_many(points, anchor)`` returns the log posterior at the rows
-    of ``points``; ``anchor`` is passed so that a warm-started evaluator can
-    start there.  Each stencil of the mode search (``model.maximize``) and of
-    the curvature (``model.fd_curvature``) is one call, anchored at its
-    centre, row 0; the value at the mode, the grid and the design are
-    anchored at the hyper mode, and each axis-scan point is a one-point call
-    anchored at the axis point evaluated before it, across directions and
-    axes.
+    ``logpost_many(points)`` returns the log posterior at the rows of
+    ``points``, row 0 the warm-start anchor: the mode search
+    (``model.maximize``) and the curvature (``model.fd_curvature``) call it
+    once per stencil, centre first.
 
     With m >= 3 hyperparameters the points are the central composite design
     of :func:`_lay_ccd`, evaluated with its skewness probes in one call of
     ``logpost_many``.  With m <= 2, or when a design point has no value,
-    they are the grid: along each standardized
-    axis, points are added in units of ``step`` until the log posterior
-    falls more than ``cutoff`` below the mode; the first point past the
-    cutoff is retained so spline tails are anchored.  The product grid over
-    the per-axis ranges is then listed, without the points whose quadratic
-    prediction is hopeless (predicted drop > 2*cutoff + 6; the list depends
-    only on the curvature), and evaluated in one call of ``logpost_many``.
+    they are the grid of :func:`_grid`.
     """
     theta0 = np.asarray(theta0, dtype=float)
     m = theta0.size
@@ -331,44 +303,46 @@ def explore_theta(
     if len(names) != m or len(transforms) != m:
         raise ValueError("names/transforms must match theta dimension")
 
-    mode, curv, cov = _mode_and_curvature(logpost_many, theta0)
-    f_mode = logpost_many(mode[None], mode)[0]
+    mode = _optimize_mode(logpost_many, theta0)
+    curv, cov = fd_curvature(logpost_many, mode)
+    values = {(0,) * m: logpost_many(mode[None])[0]}
     if m >= 3:
-        design = _lay_ccd(logpost_many, mode, f_mode, curv, names, transforms)
+        design = _lay_ccd(logpost_many, mode, curv, names, transforms)
         if design is not None:
             return design
-    sigma = np.sqrt(np.diag(cov))
-    values = {tuple([0] * m): f_mode}
-    _grow_grid(logpost_many, values, mode, sigma, curv, step, f_mode, cutoff, names)
-    return _grid_over(values, _within(values, f_mode, cutoff), mode, sigma, curv, step, names,
-                      transforms)
+    return _grid(logpost_many, values, mode, np.sqrt(np.diag(cov)), curv, step, cutoff, names,
+                 transforms)
 
 
-def _grow_grid(
-    logpost_many: Callable[[np.ndarray, np.ndarray], Sequence[float]],
+def _grid(
+    logpost_many: Callable[[np.ndarray], Sequence[float]],
     values: dict[tuple[int, ...], float],
     mode: np.ndarray,
     sigma: np.ndarray,
     curv: np.ndarray,
     step: float,
-    top: float,
     cutoff: float,
     names: Sequence[str],
-) -> None:
-    """The grid rule of :func:`explore_theta`, adding to ``values`` (integer
-    offsets from the mode, in units of ``sigma * step``, to log posterior).
+    transforms: Sequence[str],
+) -> ThetaGrid:
+    """The grid over ``values`` (integer offsets from the mode, in units of
+    ``sigma * step``, to log posterior), grown by the grid rule.
 
     Along each axis, in each direction, points are walked until one falls
-    more than ``cutoff`` below ``top``; a point already in ``values`` is
-    read, a new one is a one-point call of ``logpost_many`` anchored at the
-    axis point before it.
-    The product points over the walked ranges that are not in ``values`` and
-    whose quadratic prediction is not hopeless are then one call anchored at
-    the mode.
+    more than ``cutoff`` below the largest value in ``values`` on entry; a
+    point already in ``values`` is read, a new one is row 1 of a call of
+    ``logpost_many`` whose row 0 is the axis point before it.  The product
+    points over the walked ranges that are not in ``values`` and whose
+    quadratic prediction is not hopeless (a predicted drop above
+    2*cutoff + 6; the list depends only on the curvature) are then one call
+    after the mode.  Every point evaluated stays in ``values``, the grid's
+    ``evaluated``; the grid keeps those at most ``cutoff`` below the largest
+    value in ``values`` after the walk.
     """
     m = mode.size
+    top = max(values.values())
     ranges = []
-    anchor = mode
+    prev = mode
     for j in range(m):
         lo = hi = 0
         for direction in (+1, -1):
@@ -376,8 +350,8 @@ def _grow_grid(
                 zidx = tuple(direction * k if jj == j else 0 for jj in range(m))
                 point = _lattice(mode, sigma, step, zidx)
                 if zidx not in values:
-                    values[zidx] = logpost_many(point[None], anchor)[0]
-                anchor = point
+                    values[zidx] = logpost_many(np.vstack([prev, point]))[1]
+                prev = point
                 if top - values[zidx] > cutoff:
                     break
             else:
@@ -405,7 +379,9 @@ def _grow_grid(
         if zidx not in values and 0.5 * float(z @ curv_z @ z) <= prune_at:
             pending.append(zidx)
     points = _lattice(mode, sigma, step, np.reshape(pending, (-1, m)))
-    values.update(zip(pending, logpost_many(points, mode)))
+    values.update(zip(pending, logpost_many(np.vstack([mode, points]))[1:]))
+    return _grid_over(values, _within(values, max(values.values()), cutoff), mode, sigma, curv,
+                      step, names, transforms)
 
 
 def _lattice(mode: np.ndarray, sigma: np.ndarray, step: float, z) -> np.ndarray:
@@ -456,9 +432,8 @@ def _grid_over(
 
 
 def _lay_ccd(
-    logpost_many: Callable[[np.ndarray, np.ndarray], Sequence[float]],
+    logpost_many: Callable[[np.ndarray], Sequence[float]],
     mode: np.ndarray,
-    f_mode: float,
     curv: np.ndarray,
     names: Sequence[str],
     transforms: Sequence[str],
@@ -474,9 +449,9 @@ def _lay_ccd(
     the mass and the second moments of a standard Gaussian in z.  The
     2m probes at z = +-``SKEW_PROBE_Z`` along the eigen-axes set the
     asymmetric-Gaussian scales z / sqrt(2 drop) of the hyper marginals.
-    Design and probes are one call of ``logpost_many``.  A point without a
-    finite value inside the support, or a probe not below the mode, logs a
-    ``WARNING`` and returns None.
+    Centre, design and probes are one call of ``logpost_many``.  A point
+    without a finite value inside the support, or a probe not below the
+    mode, logs a ``WARNING`` and returns None.
     """
     m = mode.size
     vals, vecs = np.linalg.eigh(curv)
@@ -486,9 +461,8 @@ def _lay_ccd(
     axial = CCD_F0 * np.sqrt(m) * np.vstack([eye, -eye]) if m > 1 else np.empty((0, m))
     z = np.vstack([np.zeros((1, m)), axial, factorial, SKEW_PROBE_Z * np.vstack([-eye, eye])])
     points = mode + z @ axes.T
-    values = np.empty(len(z))
-    values[0] = f_mode
-    values[1:] = logpost_many(points[1:], mode)
+    values = np.asarray(logpost_many(points), dtype=float)
+    f_mode = values[0]
 
     n_p = len(z) - 2 * m
     drop = f_mode - values[n_p:]
@@ -699,18 +673,20 @@ class _ThetaObjective:
                 self.modes[_key(theta)] = (res, 0)
                 return
 
-    def many(self, points: np.ndarray, anchor: np.ndarray) -> np.ndarray:
+    def many(self, points: np.ndarray) -> np.ndarray:
         """Laplace values at the rows of ``points``.
 
-        ``anchor`` is solved first on its own, from the previous anchor's
-        latent mode and then from the origin; its mode, when it has one, is
-        the start of every other point.  The points not yet cached and inside
-        ``COORD_CAP`` are solved in chunks of ``model.chunk_size(n)`` points,
-        one ``find_conditional_mode`` per chunk.  A point its chunk does not
+        Row 0, the anchor, is solved first on its own, from the previous
+        anchor's latent mode and then from the origin; its mode, when it has
+        one, is the start of every other point.  The points not yet cached
+        and inside ``COORD_CAP`` are solved in chunks of
+        ``model.chunk_size(n)`` points, one ``find_conditional_mode`` per
+        chunk.  A point its chunk does not
         find is solved again on its own, from the same start and then from
         the origin.  A point without a mode gets ``model.out_of_support``.
         """
         origin = np.zeros(self.ctx.n_latent)
+        anchor = points[0]
         if self._open(anchor):
             self._solve_alone(anchor, self.warm, origin)
         if _key(anchor) in self.modes:
@@ -737,7 +713,7 @@ class _ThetaObjective:
     def mode_at(self, theta_arr: np.ndarray) -> tuple[ModeResult, int]:
         key = _key(theta_arr)
         if key not in self.modes:
-            self.many(theta_arr[None], theta_arr)
+            self.many(theta_arr[None])
         if key not in self.modes:
             raise ModeConvergenceError(f"no conditional mode at {theta_arr}")
         return self.modes[key]
@@ -751,8 +727,8 @@ def hyper_mode(ctx: ModelContext) -> tuple[np.ndarray, LatentConditional, np.nda
     per-axis standard deviations.  Used to initialize the sampler.
     """
     objective = _ThetaObjective(ctx)
-    mode_arr, curv, cov = _mode_and_curvature(objective.many,
-                                              moment_start(ctx.y, ctx.q).as_array())
+    mode_arr = _optimize_mode(objective.many, moment_start(ctx.y, ctx.q).as_array())
+    curv, cov = fd_curvature(objective.many, mode_arr)
     res, i = objective.mode_at(mode_arr)
     return mode_arr, res.conditional(i), curv, np.sqrt(np.diag(cov))
 
@@ -797,12 +773,11 @@ def reweight_fit(fit: FitResult, priors: PriorSpec) -> tuple[FitResult, int]:
     axis-scan stop points and the product points beyond the cutoff included,
     moves by ``ModelContext.hyper_log_prior`` (Jacobian included) under
     ``priors`` minus the same under ``fit.priors``, and keeps its latent
-    conditional.  The axes are walked again by the grid rule of
-    :func:`explore_theta` against the new maximum, with the fit's step,
-    cutoff, curvature and ``MAX_AXIS_STEPS``; the points that walk adds are
-    the only ones solved, through the fit's objective.  The grid is then
-    re-selected with the fit's cutoff, and the marginals come from the same
-    code as a fit's.
+    conditional.  The grid is then grown and selected again by a fit's own
+    rule (:func:`_grid`, with the fit's step, cutoff and curvature) against
+    the new maximum; the points its walk adds are the only ones solved,
+    through the fit's objective, and the marginals come from the same code
+    as a fit's.
 
     Returns the reweighted fit and the number of points solved.  A design
     (``integration == "ccd"``) raises ``ValueError``: its weights assume a
@@ -816,25 +791,19 @@ def reweight_fit(fit: FitResult, priors: PriorSpec) -> tuple[FitResult, int]:
     ctx = ModelContext(old.data, old.spec, priors)
     objective = fit._objective
 
-    def shifted_many(points: np.ndarray, anchor: np.ndarray) -> np.ndarray:
-        return (objective.many(points, anchor) + ctx.hyper_log_prior(points)
+    def shifted_many(points: np.ndarray) -> np.ndarray:
+        return (objective.many(points) + ctx.hyper_log_prior(points)
                 - objective.ctx.hyper_log_prior(points))
 
     zs = list(grid.evaluated)
     points = _lattice(grid.mode, grid.sigma, grid.step, zs)
     moved = (np.array(list(grid.evaluated.values())) + ctx.hyper_log_prior(points)
              - old.hyper_log_prior(points))
-    values = dict(zip(zs, moved.tolist()))
-    cutoff = fit.options.cutoff
-    # walked against the maximum before the walk; a higher point it adds
-    # only lowers what the re-selection keeps
-    _grow_grid(shifted_many, values, grid.mode, grid.sigma, grid.curv, grid.step,
-               max(values.values()), cutoff, grid.names)
-    new_grid = _grid_over(values, _within(values, max(values.values()), cutoff), grid.mode,
-                          grid.sigma, grid.curv, grid.step, grid.names, grid.transforms)
+    new_grid = _grid(shifted_many, dict(zip(zs, moved.tolist())), grid.mode, grid.sigma,
+                     grid.curv, grid.step, fit.options.cutoff, grid.names, grid.transforms)
     timings = {"reweight": time.perf_counter() - t0}
     return (_posterior(ctx, objective, new_grid, fit.options, fit.model_name, timings),
-            len(values) - len(zs))
+            len(new_grid.evaluated) - len(zs))
 
 
 def same_node_marginals(fit: FitResult, reweighted: FitResult,

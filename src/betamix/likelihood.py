@@ -29,8 +29,8 @@ information is the two-stage finite-difference curvature
 
 ``profile_interval`` inverts the likelihood ratio statistic: it profiles the
 log likelihood along one coordinate, re-optimizing the nuisance parameters
-at every probe, brackets the points where the profile has dropped by
-``chi2.ppf(level, 1) / 2`` below the maximum, and polishes the crossing with
+at every probe, brackets the points where the profile has dropped by half the chi-square
+(1 df) quantile at ``level`` below the maximum, and polishes the crossing with
 Brent's method.  The bracketing and root finding live in
 ``profile_bounds``, which only sees a one dimensional callable and is
 therefore easy to validate on problems with known answers.
@@ -43,7 +43,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.stats import chi2, norm
+from scipy.special import chdtri, ndtri
 
 from .distributions import DomainError
 from .model import (
@@ -265,7 +265,7 @@ class MLFit:
         """Normal-theory interval on the unconstrained scale, transformed back."""
         check_level(level)
         j = self.index(param)
-        z = float(norm.ppf(0.5 * (1.0 + level)))
+        z = float(ndtri(0.5 * (1.0 + level)))
         lo = self.vector[j] - z * self.se_unconstrained[j]
         hi = self.vector[j] + z * self.se_unconstrained[j]
         t = self.transforms[j]
@@ -406,7 +406,7 @@ def profile_interval(fit: MLFit, param: str | int, level: float = 0.95) -> Profi
     check_level(level)
     j = fit.index(param)
     lik = fit._lik
-    drop = float(chi2.ppf(level, 1)) / 2.0
+    drop = float(chdtri(1, 1.0 - level)) / 2.0
     se_j = float(fit.se_unconstrained[j])
     if not np.isfinite(se_j) or se_j <= 0.0:
         se_j = 0.1 * (1.0 + abs(float(fit.vector[j])))
@@ -416,7 +416,8 @@ def profile_interval(fit: MLFit, param: str | int, level: float = 0.95) -> Profi
     # every inner search starts from the nuisance block's curvature at the
     # optimum: the Schur complement of coordinate j in the covariance
     vcov = 0.5 * (fit.vcov_unconstrained + fit.vcov_unconstrained.T)
-    inv_curv = vcov[np.ix_(others, others)] - np.outer(vcov[others, j], vcov[j, others]) / vcov[j, j]
+    inv_curv = (vcov[np.ix_(others, others)]
+                - np.outer(vcov[others, j], vcov[j, others]) / vcov[j, j])
 
     def profiled(u: float) -> float:
         nonlocal warm

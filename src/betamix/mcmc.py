@@ -528,7 +528,8 @@ class ChainOutput:
     def max_rhat(self, names: tuple[str, ...] | None = None) -> float:
         return max(self.rhat(n) for n in (names or self.names))
 
-    def kde(self, name: str, grid_points: int = 401, log_scale: bool | None = None) -> MarginalDensity:
+    def kde(self, name: str, grid_points: int = 401,
+            log_scale: bool | None = None) -> MarginalDensity:
         """Pooled-chain kernel density estimate for one parameter.
 
         ``log_scale=None`` picks the log-scale kernel automatically for the

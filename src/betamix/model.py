@@ -50,9 +50,12 @@ batched Cholesky of small symmetric stacks (``_cholesky``, ``_chol_solve``),
 which factors both the Laplace block Hessians and the likelihood engine's
 per-group curvatures.  The outer search and the curvature take a batch
 evaluator, which maps a (K, m) stack of points to its K values, and call it
-once per central-difference stencil.  ``fork_map`` runs independent tasks
-(MCMC chains, sensitivity refits) in forked workers, with the same values
-as a serial run.
+once per central-difference stencil, its centre first.  Row 0 of every stack
+is its warm-start anchor, in all three engines: the Laplace and likelihood
+evaluators (MCMC starts from ``laplace.hyper_mode``) keep the inner modes of
+the last row 0 they solved and start the next stack's solves from them.
+``fork_map`` runs independent tasks (MCMC chains, sensitivity refits) in
+forked workers, with the same values as a serial run.
 """
 
 from __future__ import annotations
@@ -572,7 +575,8 @@ def loglik_rows(link: Link, y: np.ndarray, eta: np.ndarray, phi: float) -> np.nd
     return beta_logpdf_arrays(y, np.clip(link.inv(eta), MU_EPS, 1.0 - MU_EPS), phi)
 
 
-def eta_derivs(link: Link, y: np.ndarray, eta: np.ndarray, phi: float) -> tuple[np.ndarray, np.ndarray]:
+def eta_derivs(link: Link, y: np.ndarray, eta: np.ndarray,
+               phi: float) -> tuple[np.ndarray, np.ndarray]:
     """Per-row first/second derivatives of the beta log likelihood in eta."""
     mu = np.clip(link.inv(eta), MU_EPS, 1.0 - MU_EPS)
     d1 = link.dmu_deta(eta, mu)

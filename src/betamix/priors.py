@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
 from .distributions import DomainError, GammaShapeRate
 
@@ -132,7 +132,7 @@ def elicit_gamma_prior(inp: ElicitationInput) -> GammaShapeRate:
     ``P(|b| < R) = q`` under the marginal scaled t with ``df = d`` pins the
     prior to shape ``d/2`` and rate ``d R^2 / (2 t^2)``.
     """
-    t = float(stats.t.ppf(1.0 - (1.0 - inp.coverage) / 2.0, inp.df))
+    t = float(stdtrit(inp.df, 1.0 - (1.0 - inp.coverage) / 2.0))
     shape = inp.df / 2.0
     rate = inp.df * inp.range_r**2 / (2.0 * t * t)
     return GammaShapeRate(shape, rate)
@@ -148,7 +148,7 @@ def elicited_range_roundtrip(g: GammaShapeRate, coverage: float = 0.95) -> float
     if not (0.0 < coverage < 1.0):
         raise DomainError("coverage must lie strictly in (0, 1)")
     df = 2.0 * g.shape
-    t = float(stats.t.ppf(1.0 - (1.0 - coverage) / 2.0, df))
+    t = float(stdtrit(df, 1.0 - (1.0 - coverage) / 2.0))
     return float(t * np.sqrt(g.rate / g.shape))
 
 

@@ -32,7 +32,7 @@ PARAMS = ("beta_intercept", "beta_size_Medium", "beta_size_Small", "beta_income"
 
 def _each(logpost):
     """The batch evaluator of ``explore_theta``, one point at a time."""
-    return lambda points, _mode: [logpost(theta) for theta in points]
+    return lambda points: [logpost(theta) for theta in points]
 
 
 def test_gaussian_target_recovers_marginals_and_evidence():
@@ -100,6 +100,65 @@ def test_explorer_grid_grows_with_finer_step_and_wider_cutoff():
         assert np.sum(g.weights) == pytest.approx(1.0, abs=1e-12)
 
 
+def _kept_against_the_top(grid, cutoff):
+    """The evaluated points at most ``cutoff`` below the largest evaluated value."""
+    top = max(grid.evaluated.values())
+    return sorted(z for z, v in grid.evaluated.items() if top - v <= cutoff)
+
+
+def test_grid_keeps_points_within_the_cutoff_of_the_largest_value(monkeypatch):
+    """A Gaussian target with the mode search forced 1.5 SD off the mode
+    along the first axis: the grid keeps exactly the evaluated points within
+    the cutoff of the largest value evaluated, not of the value at the point
+    the search returned, which would keep more."""
+    mean, sd = np.array([0.4, -0.3]), np.array([1.0, 0.5])
+
+    def logpost(th):
+        return -0.5 * float(np.sum(((th - mean) / sd) ** 2))
+
+    off = mean + np.array([1.5 * sd[0], 0.0])
+    monkeypatch.setattr(laplace, "_optimize_mode", lambda many, theta0: off.copy())
+    grid = explore_theta(_each(logpost), mean, ("a", "b"), ("identity", "identity"))
+    np.testing.assert_array_equal(grid.mode, off)
+    kept = _kept_against_the_top(grid, 6.0)
+    assert [tuple(z) for z in grid.z_index.tolist()] == kept
+    at_off = grid.evaluated[(0, 0)]
+    assert any(at_off - v <= 6.0 < max(grid.evaluated.values()) - v
+               for v in grid.evaluated.values())
+
+
+@pytest.mark.parametrize("m", [2, 4])
+def test_every_call_is_anchored_at_a_centre_the_mode_or_the_axis_point_before(m):
+    """Row 0 of each call of the evaluator is its warm-start anchor: the
+    centre of a stencil of the mode search or the curvature, the hyper mode
+    (the value there, the grid's product stage, the design), or, for an
+    axis-scan point, the axis point evaluated before it.  m = 2 lays the
+    grid, m = 4 the design."""
+    mean = np.array([1.2, -0.7, 0.3, 2.0])[:m]
+    scale = np.array([1.0, 0.6, 0.8, 1.3])[:m]
+    calls = []
+
+    def many(points):
+        calls.append(np.array(points, dtype=float))
+        return [-0.5 * float(np.sum(((th - mean) / scale) ** 2)) for th in points]
+
+    grid = explore_theta(many, mean + 0.5, ("a", "b", "c", "d")[:m], ("identity",) * m)
+    assert grid.integration == ("grid" if m == 2 else "ccd")
+    kinds = []
+    for before, points in zip([None, *calls], calls):
+        if (len(points) in (2 * m + 1, 1 + 2 * m * m)
+                and np.allclose(points[1:].mean(axis=0), points[0], rtol=0.0, atol=1e-12)):
+            kinds.append("stencil centre")
+        elif np.array_equal(points[0], grid.mode):
+            kinds.append("hyper mode")
+        elif len(points) == 2 and np.array_equal(points[0], before[-1]):
+            kinds.append("axis point before")
+        else:
+            raise AssertionError(f"call anchored at {points[0]}, none of the three")
+    expected = {"stencil centre", "hyper mode"} | ({"axis point before"} if m == 2 else set())
+    assert set(kinds) == expected
+
+
 # -- central composite design on closed-form targets ---------------------------
 
 
@@ -129,7 +188,7 @@ def test_ccd_is_exact_for_a_correlated_gaussian(m):
     if m == 4:
         grid = explore_theta(_each(logpost), mean, names, tr)
     else:
-        grid = laplace._lay_ccd(_each(logpost), mean, logpost(mean), prec, names, tr)
+        grid = laplace._lay_ccd(_each(logpost), mean, prec, names, tr)
     assert grid.integration == "ccd" and grid.size == {4: 25, 2: 9, 1: 3}[m]
     assert grid.log_evidence == pytest.approx(offset, rel=0.0, abs=1e-8)
     got = grid.weights @ grid.theta
@@ -180,9 +239,9 @@ def test_failed_design_point_is_logged_and_the_grid_integrates(monkeypatch, capl
     failing = []
 
     def lay_marking_the_first_point(logpost_many, *args):
-        def many(points, anchor):
-            failing.append(tuple(points[0]))
-            return logpost_many(points, anchor)
+        def many(points):
+            failing.append(tuple(points[1]))
+            return logpost_many(points)
 
         return lay(many, *args)
 
@@ -424,12 +483,12 @@ def test_objective_falls_back_point_by_point(monkeypatch, fails):
         return solve(ctx, thetas, x0)
 
     monkeypatch.setattr(laplace, "find_conditional_mode", failing)
-    got = laplace._ThetaObjective(ctx).many(points, anchor)
+    got = laplace._ThetaObjective(ctx).many(points)
     assert tuple(beyond[0]) not in solved
     if fails is _always:
         expected = [model.out_of_support(theta) for theta in points]
     elif fails is _multi_point:
-        expected = [laplace._ThetaObjective(ctx).many(theta[None], anchor)[0]
+        expected = [laplace._ThetaObjective(ctx).many(np.vstack([anchor, theta]))[1]
                     for theta in points[:-1]]
     else:
         expected = [solve(ctx, theta[None]).laplace[0] for theta in points[:-1]]
@@ -484,7 +543,7 @@ def test_reweight_fit_moves_every_evaluated_point_by_the_prior_change():
     zs = list(grid.evaluated)
     points = grid.mode + grid.sigma * np.array(zs, dtype=float) * grid.step
     ctx = ModelContext(study.data, study.spec, shifted)
-    direct = laplace._ThetaObjective(ctx).many(points, grid.mode)
+    direct = laplace._ThetaObjective(ctx).many(np.vstack([grid.mode, points]))[1:]
     got = np.array(list(grid.evaluated.values()))
     assert np.all(np.abs(got - direct) <= 2e-6 * np.sqrt(1.0 + np.abs(direct)))
 
@@ -500,6 +559,30 @@ def test_reweight_fit_moves_every_evaluated_point_by_the_prior_change():
     for name, s in fit.summary().items():
         for key, v in s.items():
             assert same.summary()[name][key] == pytest.approx(v, rel=1e-10), (name, key)
+
+
+def test_off_mode_grid_fit_reweights_to_itself(monkeypatch):
+    """A grid fit whose mode search is forced 1.5 SD off the mode along the
+    phi axis keeps the evaluated points within the cutoff of the largest
+    value, and ``reweight_fit`` to its own priors selects by the same rule:
+    it solves nothing and keeps the same points with the same values."""
+    study = simulate_study(seed=1, n_groups=6, n_total=90)
+    opts = LaplaceOptions(compute_gof=False)
+    plain = fit_laplace(study.data, study.spec, options=opts).theta_grid
+    off = plain.mode + np.array([1.5 * plain.sigma[0], 0.0])
+    with monkeypatch.context() as mp:
+        mp.setattr(laplace, "_optimize_mode", lambda many, theta0: off.copy())
+        fit = fit_laplace(study.data, study.spec, options=opts)
+    grid = fit.theta_grid
+    assert grid.integration == "grid"
+    np.testing.assert_array_equal(grid.mode, off)
+    assert max(grid.evaluated.values()) > grid.evaluated[(0, 0)]
+    assert [tuple(z) for z in grid.z_index.tolist()] == _kept_against_the_top(grid, opts.cutoff)
+
+    same, solves = laplace.reweight_fit(fit, fit.priors)
+    assert solves == 0
+    np.testing.assert_array_equal(same.theta_grid.z_index, grid.z_index)
+    np.testing.assert_allclose(same.theta_grid.logpost, grid.logpost, rtol=1e-14)
 
 
 def test_a_design_is_not_reweighted(slope_fits):
