@@ -337,7 +337,8 @@ def _grid(
     2*cutoff + 6; the list depends only on the curvature) are then one call
     after the mode.  Every point evaluated stays in ``values``, the grid's
     ``evaluated``; the grid keeps those at most ``cutoff`` below the largest
-    value in ``values`` after the walk.
+    value in ``values`` after the walk (a higher point the walk adds only
+    narrows what is kept).
     """
     m = mode.size
     top = max(values.values())
@@ -681,9 +682,9 @@ class _ThetaObjective:
         one, is the start of every other point.  The points not yet cached
         and inside ``COORD_CAP`` are solved in chunks of
         ``model.chunk_size(n)`` points, one ``find_conditional_mode`` per
-        chunk.  A point its chunk does not
-        find is solved again on its own, from the same start and then from
-        the origin.  A point without a mode gets ``model.out_of_support``.
+        chunk.  A point its chunk does not find is solved again on its own,
+        from the same start and then from the origin.  A point without a
+        mode gets ``model.out_of_support``.
         """
         origin = np.zeros(self.ctx.n_latent)
         anchor = points[0]
