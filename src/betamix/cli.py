@@ -1,9 +1,10 @@
 """Command-line entry points.
 
-Subcommands: ``fit`` (posterior approximation; ``--engine`` picks laplace,
-mcmc or ml), ``mcmc``, ``ml``, ``compare`` (model ladder with information
-criteria), ``sensitivity`` (prior scan), ``elicit`` (gamma prior from a
-range statement) and ``simulate`` (synthetic study generator).
+Subcommands, one per engine or task: ``fit`` (nested Laplace), ``mcmc``,
+``ml`` (maximum likelihood), ``compare`` (the nested model ladder null,
+fixed, intercept, full with information criteria), ``sensitivity`` (prior
+scan), ``elicit`` (gamma prior from a range statement) and ``simulate``
+(synthetic study generator).
 
 Every command writes a ``<command>_summary.json`` (validating against the
 schema shipped in ``betamix/schemas/``) plus CSV outputs into ``--out-dir``:
@@ -19,6 +20,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -88,11 +90,14 @@ def _write_json(summary: dict, path: Path) -> str:
     return str(path)
 
 
-def _write_marginal_csvs(fit_like, names, out_dir: Path, kde=False) -> list[str]:
-    """One two-column CSV (value, density) per parameter marginal."""
+def _write_marginal_csvs(density, names, out_dir: Path) -> list[str]:
+    """One two-column CSV (value, density) per parameter marginal.
+
+    ``density(name)`` gives the marginal: ``fit.marginal`` or ``output.kde``.
+    """
     out = []
     for name in names:
-        dens = fit_like.kde(name) if kde else fit_like.marginal(name)
+        dens = density(name)
         path = out_dir / f"marginal_{name}.csv"
         with atomic_write(path) as fh:
             fh.write("value,density\n")
@@ -127,15 +132,12 @@ def _load_data(config: AnalysisConfig) -> Dataset:
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns the summary dict
+# command handlers: each returns its summary dict; ``main`` adds the
+# ``command`` and ``seed`` envelope
 # ---------------------------------------------------------------------------
 
 
 def _cmd_fit(config: AnalysisConfig, args, out_dir: Path) -> dict:
-    if config.engine == "mcmc":
-        return _cmd_mcmc(config, args, out_dir)
-    if config.engine == "ml":
-        return _cmd_ml(config, args, out_dir)
     t0 = time.perf_counter()
     data = _load_data(config)
     t_load = time.perf_counter()
@@ -147,11 +149,9 @@ def _cmd_fit(config: AnalysisConfig, args, out_dir: Path) -> dict:
         model_name=config.model_name or "model",
     )
     t_fit = time.perf_counter()
-    marginals = _write_marginal_csvs(fit, fit.param_names, out_dir)
+    marginals = _write_marginal_csvs(fit.marginal, fit.param_names, out_dir)
     return {
-        "command": "fit",
         "engine": "laplace",
-        "seed": config.seed,
         "model": _model_block(config, data, fit),
         "parameters": fit.summary(),
         "criteria": dict(fit.gof or {}),
@@ -171,13 +171,11 @@ def _cmd_mcmc(config: AnalysisConfig, args, out_dir: Path) -> dict:
     spec = config.model_spec()
     output = run_mcmc(data, spec, priors=config.prior_spec(spec), config=config.mcmc_config())
     t_run = time.perf_counter()
-    marginals = _write_marginal_csvs(output, output.names, out_dir, kde=True)
+    marginals = _write_marginal_csvs(output.kde, output.names, out_dir)
     chains = [Path(p).name for p in export_chains(output, out_dir)]
     acceptance = {site: float(np.mean(rates)) for site, rates in output.acceptance.items()}
     return {
-        "command": "mcmc",
         "engine": "mcmc",
-        "seed": config.seed,
         "model": _model_block(config, data),
         "parameters": output.summary(),
         "diagnostics": {"max_rhat": output.max_rhat(), "acceptance": acceptance},
@@ -191,33 +189,29 @@ def _cmd_mcmc(config: AnalysisConfig, args, out_dir: Path) -> dict:
 
 
 def _cmd_ml(config: AnalysisConfig, args, out_dir: Path) -> dict:
-    level = float(getattr(args, "level", 0.95))
-    check_level(level)  # rejected before any data is loaded or fit
+    check_level(args.level)  # rejected before any data is loaded or fit
     t0 = time.perf_counter()
     data = _load_data(config)
     t_load = time.perf_counter()
     spec = config.model_spec()
     fit = ml_fit(data, spec)
     t_fit = time.perf_counter()
-    use_profile = bool(getattr(args, "profile", False))
     params: dict[str, dict[str, float]] = {}
     for name in fit.names:
         est = fit.estimate(name)
         se = fit.se_of(name)
-        if use_profile:
-            ci = profile_interval(fit, name, level=level)
+        if args.profile:
+            ci = profile_interval(fit, name, level=args.level)
             lower, upper = ci.lower, ci.upper
         else:
-            lower, upper = fit.wald_interval(name, level=level)
+            lower, upper = fit.wald_interval(name, level=args.level)
         params[name] = {"estimate": est, "se": se, "lower": lower, "upper": upper}
     return {
-        "command": "ml",
         "engine": "ml",
-        "seed": config.seed,
         "model": _model_block(config, data),
         "parameters": params,
         "criteria": {"loglik": fit.loglik},
-        "interval_method": "profile" if use_profile else "wald",
+        "interval_method": "profile" if args.profile else "wald",
         "diagnostics": {
             "converged": fit.converged,
             "n_eval": fit.n_eval,
@@ -233,10 +227,13 @@ def _cmd_ml(config: AnalysisConfig, args, out_dir: Path) -> dict:
 
 
 def _ladder(config: AnalysisConfig) -> list[tuple[str, AnalysisConfig]]:
-    """Nested model sequence: intercept only, fixed effects, full model."""
-    steps = [("null", config.override(fixed=(), random="none", slope_column=None))]
+    """Nested model sequence: intercept only, fixed effects, random
+    intercept (when the full model also has a slope), full model."""
+    steps = [("null", replace(config, fixed=(), random="none", slope_column=None))]
     if config.fixed:
-        steps.append(("fixed", config.override(random="none", slope_column=None)))
+        steps.append(("fixed", replace(config, random="none", slope_column=None)))
+    if config.random == "intercept+slope":
+        steps.append(("intercept", replace(config, random="intercept", slope_column=None)))
     if config.random != "none":
         steps.append(("full", config))
     return steps
@@ -264,9 +261,7 @@ def _cmd_compare(config: AnalysisConfig, args, out_dir: Path) -> dict:
     ]
     timings["total"] = time.perf_counter() - t0
     return {
-        "command": "compare",
         "engine": "laplace",
-        "seed": config.seed,
         "model": _model_block(config, data),
         "models": models,
         "timings": timings,
@@ -304,9 +299,7 @@ def _cmd_sensitivity(config: AnalysisConfig, args, out_dir: Path) -> dict:
             "error": r.error,
         })
     return {
-        "command": "sensitivity",
         "engine": "laplace",
-        "seed": config.seed,
         "model": _model_block(config, data),
         "parameters": report.default_summary,
         "rows": rows,
@@ -323,8 +316,6 @@ def _cmd_elicit(config: AnalysisConfig, args, out_dir: Path) -> dict:
     g = elicit_gamma_prior(inp)
     print(f"shape {g.shape:.4g} rate {g.rate:.4g}")
     return {
-        "command": "elicit",
-        "seed": config.seed,
         "result": {
             "shape": g.shape,
             "rate": g.rate,
@@ -354,8 +345,6 @@ def _cmd_simulate(config: AnalysisConfig, args, out_dir: Path) -> dict:
     data_path = out_dir / "simulated.csv"
     write_rows_csv(study.rows, data_path)
     return {
-        "command": "simulate",
-        "seed": config.seed,
         "model": {
             "fixed": list(study.spec.fixed),
             "random": study.spec.random,
@@ -406,9 +395,6 @@ def _build_parser() -> _Parser:
     ]:
         p = sub.add_parser(name, help=descr)
         common(p)
-        if name == "fit":
-            p.add_argument("--engine", choices=["laplace", "mcmc", "ml"],
-                           help="inference engine")
         if name == "ml":
             p.add_argument("--profile", action="store_true",
                            help="profile-likelihood intervals instead of Wald")
@@ -436,20 +422,14 @@ def _build_parser() -> _Parser:
 
 def _config_from_args(args) -> AnalysisConfig:
     config = AnalysisConfig.from_file(args.config) if args.config else AnalysisConfig()
-    overrides = {
-        "seed": args.seed,
-        "engine": getattr(args, "engine", None),
-        "out_dir": args.out_dir,
-        "data": args.data,
-    }
-    if getattr(args, "param", None) is not None:
-        overrides["scan_param"] = args.param
+    flags = {"seed": args.seed, "out_dir": args.out_dir, "data": args.data,
+             "scan_param": getattr(args, "param", None)}
     if getattr(args, "targets", None) is not None:
         try:
-            overrides["targets"] = tuple(float(t) for t in args.targets.split(","))
+            flags["targets"] = tuple(float(t) for t in args.targets.split(","))
         except ValueError:
             raise DomainError(f"could not parse --targets {args.targets!r}") from None
-    return config.override(**overrides)
+    return replace(config, **{k: v for k, v in flags.items() if v is not None})
 
 
 def main(argv=None) -> int:
@@ -458,8 +438,9 @@ def main(argv=None) -> int:
         config = _config_from_args(args)
         out_dir = Path(config.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        summary = _HANDLERS[args.command](config, args, out_dir)
-        path = _write_json(summary, out_dir / f"{summary['command']}_summary.json")
+        summary = {"command": args.command, "seed": config.seed,
+                   **_HANDLERS[args.command](config, args, out_dir)}
+        path = _write_json(summary, out_dir / f"{args.command}_summary.json")
         print(f"wrote {path}")
         return 0
     except BrokenPipeError:

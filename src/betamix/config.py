@@ -13,24 +13,25 @@ validated):
                  "baselines": {"size": "Large"}, "name": "model4"},
       "priors": {"phi": [1.0, 0.001], "raneff": [0.5, 0.001487],
                  "slope_precision": 1e-4, "intercept_precision": 0.0},
-      "engine": {"kind": "laplace", "grid_step": 0.75, "cutoff": 6.0,
-                 "grid_points": 401, "chains": 3, "iterations": 500000,
-                 "burn_in": 10000, "thin": 100},
+      "engine": {"grid_step": 0.75, "cutoff": 6.0, "grid_points": 401,
+                 "chains": 3, "iterations": 500000, "burn_in": 10000,
+                 "thin": 100},
       "scan":   {"param": "phi", "targets": [0.1, 0.2, 0.3],
                  "base": [1.0, 0.01]},
       "output": {"dir": "out", "seed": 0}
     }
 
-Command-line flags override file values.  Unknown sections or keys are
-rejected rather than ignored, so a typo cannot silently fall back to a
-default.
+The ``engine`` section holds the settings of every engine; the subcommand
+(``fit``, ``mcmc``, ``ml``) picks the engine.  Command-line flags override
+file values.  Unknown sections or keys are rejected rather than ignored, so
+a typo cannot silently fall back to a default.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -43,8 +44,6 @@ from .model import Dataset, ModelSpec
 from .priors import PriorSpec, default_priors
 
 __all__ = ["AnalysisConfig", "load_csv", "write_rows_csv"]
-
-_ENGINES = ("laplace", "mcmc", "ml")
 
 
 def _pair(value, what: str) -> tuple[float, float]:
@@ -59,7 +58,7 @@ def _pair(value, what: str) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class AnalysisConfig:
-    """Everything a command run needs: data, model, priors, engine, output."""
+    """Everything a command run needs: data, model, priors, engine settings, output."""
 
     # data
     data: str | None = None
@@ -78,8 +77,7 @@ class AnalysisConfig:
     raneff_prior: tuple[float, float] | None = None
     slope_precision: float | None = None
     intercept_precision: float | None = None
-    # engine
-    engine: str = "laplace"
+    # engine settings
     grid_step: float = 0.75
     cutoff: float = 6.0
     grid_points: int = 401
@@ -96,8 +94,6 @@ class AnalysisConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.engine not in _ENGINES:
-            raise DomainError(f"engine must be one of {_ENGINES}, got {self.engine!r}")
         object.__setattr__(self, "fixed", tuple(self.fixed))
         object.__setattr__(self, "center", tuple(self.center))
         object.__setattr__(self, "targets", tuple(float(t) for t in self.targets))
@@ -120,9 +116,9 @@ class AnalysisConfig:
             "slope_precision": "slope_precision", "intercept_precision": "intercept_precision",
         },
         "engine": {
-            "kind": "engine", "grid_step": "grid_step", "cutoff": "cutoff",
-            "grid_points": "grid_points", "chains": "chains", "iterations": "iterations",
-            "burn_in": "burn_in", "thin": "thin",
+            "grid_step": "grid_step", "cutoff": "cutoff", "grid_points": "grid_points",
+            "chains": "chains", "iterations": "iterations", "burn_in": "burn_in",
+            "thin": "thin",
         },
         "scan": {"param": "scan_param", "targets": "targets", "base": "scan_base"},
         "output": {"dir": "out_dir", "seed": "seed"},
@@ -155,17 +151,6 @@ class AnalysisConfig:
             if kwargs.get(key) is not None:
                 kwargs[key] = _pair(kwargs[key], key)
         return cls(**kwargs)
-
-    def override(self, **updates) -> "AnalysisConfig":
-        """New config with the non-None entries of ``updates`` applied."""
-        valid = {f.name for f in fields(self)}
-        clean = {}
-        for key, value in updates.items():
-            if key not in valid:
-                raise DomainError(f"unknown config field {key!r}")
-            if value is not None:
-                clean[key] = value
-        return replace(self, **clean) if clean else self
 
     # ------------------------------------------------------------------
     # projections onto the engine settings

@@ -143,11 +143,6 @@ class Site:
     dim: int
     scale: float
     chol: np.ndarray | None = None  # proposal shape; None means identity
-    target_rate: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.target_rate == 0.0:
-            self.target_rate = _target_rate(self.dim)
 
 
 @dataclass
@@ -160,11 +155,6 @@ class GroupSites:
 
     chols: np.ndarray  # (N, q, q) proposal shapes
     scales: np.ndarray  # (N,)
-    target_rate: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.target_rate == 0.0:
-            self.target_rate = _target_rate(self.dim)
 
     @property
     def dim(self) -> int:
@@ -253,9 +243,10 @@ def sample_metropolis(
                 for site, _, uo in layout:
                     if isinstance(site, GroupSites):
                         site.scales = _adapted(site.scales, rate[uo : uo + site.scales.size],
-                                               site.target_rate, gain)
+                                               _target_rate(site.dim), gain)
                     else:
-                        site.scale = float(_adapted(site.scale, rate[uo], site.target_rate, gain))
+                        site.scale = float(_adapted(site.scale, rate[uo],
+                                                    _target_rate(site.dim), gain))
                 acc_win[:] = 0
         elif (it - burn_in) % thin == thin - 1:
             out[stored] = target.param_vector()

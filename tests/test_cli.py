@@ -34,13 +34,12 @@ def study_csv(tmp_path_factory):
     "argv, command",
     [
         (["fit"], "fit"),
-        (["fit", "--engine", "ml"], "ml"),
         (["ml"], "ml"),
         (["mcmc"], "mcmc"),
         (["compare"], "compare"),
         (["sensitivity", "--param", "tau", "--targets", "0.1"], "sensitivity"),
     ],
-    ids=["fit", "fit-ml", "ml", "mcmc", "compare", "sensitivity"],
+    ids=["fit", "ml", "mcmc", "compare", "sensitivity"],
 )
 def test_subcommand_writes_a_valid_summary(study_csv, tmp_path, argv, command):
     config = tmp_path / "config.json"
@@ -62,6 +61,41 @@ def test_subcommand_writes_a_valid_summary(study_csv, tmp_path, argv, command):
                          ("extension_solves", 0.5)):
             with pytest.raises(jsonschema.ValidationError):
                 jsonschema.validate({**summary, "rows": [{**row, key: bad}]}, SCHEMA)
+
+
+@pytest.fixture(scope="module")
+def slope_csv(tmp_path_factory):
+    out = tmp_path_factory.mktemp("slope_study")
+    assert main(["simulate", "--random", "intercept+slope", "--n-groups", "4",
+                 "--n-total", "60", "--out-dir", str(out)]) == 0
+    return out / _validated(out, "simulate")["files"]["data"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["fit"], ["mcmc"], ["ml"], ["compare"],
+     ["sensitivity", "--param", "phi", "--targets", "0.1"]],
+    ids=["fit", "mcmc", "ml", "compare", "sensitivity"],
+)
+def test_subcommand_runs_the_intercept_slope_model(slope_csv, tmp_path, argv):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "model": {"random": "intercept+slope", "slope_column": "income"},
+        "engine": {"chains": 2, "iterations": 300, "burn_in": 100, "thin": 1},
+    }))
+    out = tmp_path / "out"
+    assert main([*argv, "--data", str(slope_csv), "--config", str(config),
+                 "--out-dir", str(out)]) == 0
+    summary = _validated(out, argv[0])
+    assert summary["model"]["random"] == "intercept+slope"
+    if argv[0] == "compare":
+        # the ladder null, fixed effects, q = 1, q = 2
+        names = [m["name"] for m in summary["models"]]
+        assert names == ["null", "fixed", "intercept", "full"]
+    if argv[0] == "sensitivity":
+        # a phi scan on q = 2 refits each target in forked workers
+        (row,) = summary["rows"]
+        assert row["method"] == "refit" and row["error"] is None
 
 
 @pytest.mark.parametrize("model, integration",
@@ -94,12 +128,32 @@ def _error_record(capsys) -> dict:
     return json.loads(lines[0])["error"]
 
 
-def test_engine_is_a_fit_option_only(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["fit", "compare"])
+def test_engine_is_not_an_option(tmp_path, capsys, command):
+    # each engine has its own subcommand: fit, mcmc, ml
     with pytest.raises(SystemExit) as stop:
-        main(["compare", "--engine", "mcmc", "--out-dir", str(tmp_path)])
+        main([command, "--engine", "mcmc", "--out-dir", str(tmp_path)])
     assert stop.value.code == 2
     err = _error_record(capsys)
     assert err["type"] == "UsageError" and "--engine" in err["message"]
+
+
+def test_engine_kind_is_an_unknown_config_key(study_csv, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(
+        {"engine": {"kind": "mcmc", "chains": 2, "iterations": 300, "burn_in": 100, "thin": 1}}
+    ))
+    code = main(["fit", "--data", str(study_csv), "--config", str(config),
+                 "--out-dir", str(tmp_path)])
+    assert code == 1
+    err = _error_record(capsys)
+    assert err["type"] == "DomainError" and "'kind'" in err["message"]
+    assert not (tmp_path / "fit_summary.json").exists()
+
+
+def test_summary_commands_are_the_parsers_subcommands():
+    (sub,) = [a for a in cli._build_parser()._actions if a.dest == "command"]
+    assert set(SCHEMA["properties"]["command"]["enum"]) == set(cli._HANDLERS) == set(sub.choices)
 
 
 def test_missing_data_file_is_a_json_error(tmp_path, capsys):
