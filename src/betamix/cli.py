@@ -1,10 +1,10 @@
 """Command-line entry points.
 
 Subcommands, one per engine or task: ``fit`` (nested Laplace), ``mcmc``,
-``ml`` (maximum likelihood), ``compare`` (the nested model ladder null,
-fixed, intercept, full with information criteria), ``sensitivity`` (prior
-scan), ``elicit`` (gamma prior from a range statement) and ``simulate``
-(synthetic study generator).
+``ml`` (maximum likelihood), ``compare`` (information criteria over the
+nested model ladder: null, fixed effects, random intercept, full model),
+``sensitivity`` (prior scan), ``elicit`` (gamma prior from a range
+statement) and ``simulate`` (synthetic study generator).
 
 Every command writes a ``<command>_summary.json`` (validating against the
 schema shipped in ``betamix/schemas/``) plus CSV outputs into ``--out-dir``:
@@ -227,8 +227,8 @@ def _cmd_ml(config: AnalysisConfig, args, out_dir: Path) -> dict:
 
 
 def _ladder(config: AnalysisConfig) -> list[tuple[str, AnalysisConfig]]:
-    """Nested model sequence: intercept only, fixed effects, random
-    intercept (when the full model also has a slope), full model."""
+    """Nested model sequence: intercept only, fixed effects, random intercept
+    (only when the full model also has a slope), full model."""
     steps = [("null", replace(config, fixed=(), random="none", slope_column=None))]
     if config.fixed:
         steps.append(("fixed", replace(config, random="none", slope_column=None)))
