@@ -31,7 +31,7 @@ from .distributions import DomainError
 from .laplace import FitResult, fit_laplace
 from .likelihood import check_level, ml_fit, profile_interval
 from .mcmc import export_chains, run_mcmc
-from .model import Dataset
+from .model import LINKS, RANDOM_KINDS, Dataset
 from .priors import ElicitationInput, elicit_gamma_prior, elicited_range_roundtrip
 from .selection import compare_models
 from .sensitivity import sensitivity_scan
@@ -329,19 +329,24 @@ def _cmd_elicit(config: AnalysisConfig, args, out_dir: Path) -> dict:
     }
 
 
+#: ``simulate``'s flags by ``simulate_study`` keyword; they carry no default,
+#: so a flag left out keeps the function's own
+_STUDY_FLAGS = {
+    "n_groups": {"type": int},
+    "n_total": {"type": int},
+    "random": {"choices": RANDOM_KINDS},
+    "link": {"choices": LINKS},
+    "phi": {"type": float},
+    "tau1_sq": {"type": float},
+    "tau2_sq": {"type": float},
+    "rho_corr": {"type": float},
+}
+
+
 def _cmd_simulate(config: AnalysisConfig, args, out_dir: Path) -> dict:
     t0 = time.perf_counter()
-    study = simulate_study(
-        seed=config.seed,
-        n_groups=args.n_groups,
-        n_total=args.n_total,
-        random=args.random,
-        link=args.link,
-        phi=args.phi,
-        tau1_sq=args.tau1_sq,
-        tau2_sq=args.tau2_sq,
-        rho_corr=args.rho_corr,
-    )
+    given = {key: getattr(args, key) for key in _STUDY_FLAGS if hasattr(args, key)}
+    study = simulate_study(seed=config.seed, **given)
     data_path = out_dir / "simulated.csv"
     write_rows_csv(study.rows, data_path)
     return {
@@ -407,16 +412,8 @@ def _build_parser() -> _Parser:
             p.add_argument("--df", type=float, default=1.0)
             p.add_argument("--coverage", type=float, default=0.95)
         if name == "simulate":
-            p.add_argument("--n-groups", type=int, default=8)
-            p.add_argument("--n-total", type=int, default=365)
-            p.add_argument("--random", default="intercept",
-                           choices=["none", "intercept", "intercept+slope"])
-            p.add_argument("--link", default="logit",
-                           choices=["logit", "probit", "cloglog"])
-            p.add_argument("--phi", type=float, default=93.0)
-            p.add_argument("--tau1-sq", type=float, default=64.0)
-            p.add_argument("--tau2-sq", type=float, default=533.0)
-            p.add_argument("--rho-corr", type=float, default=0.75)
+            for key, kwargs in _STUDY_FLAGS.items():
+                p.add_argument("--" + key.replace("_", "-"), default=argparse.SUPPRESS, **kwargs)
     return parser
 
 

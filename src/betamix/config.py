@@ -13,16 +13,17 @@ validated):
                  "baselines": {"size": "Large"}, "name": "model4"},
       "priors": {"phi": [1.0, 0.001], "raneff": [0.5, 0.001487],
                  "slope_precision": 1e-4, "intercept_precision": 0.0},
-      "engine": {"grid_step": 0.75, "cutoff": 6.0, "grid_points": 401,
-                 "chains": 3, "iterations": 500000, "burn_in": 10000,
-                 "thin": 100},
+      "engine": {"grid_step": 0.5, "cutoff": 8.0, "chains": 2,
+                 "iterations": 20000, "burn_in": 2000, "thin": 10},
       "scan":   {"param": "phi", "targets": [0.1, 0.2, 0.3],
                  "base": [1.0, 0.01]},
       "output": {"dir": "out", "seed": 0}
     }
 
 The ``engine`` section holds the settings of every engine; the subcommand
-(``fit``, ``mcmc``, ``ml``) picks the engine.  Command-line flags override
+(``fit``, ``mcmc``, ``ml``) picks the engine.  The example asks for a finer
+grid and a short MCMC run; a key left out takes the class default of
+``laplace.LaplaceOptions`` or ``mcmc.McmcConfig``.  Command-line flags override
 file values.  Unknown sections or keys are rejected rather than ignored, so
 a typo cannot silently fall back to a default.
 """
@@ -42,6 +43,7 @@ from .laplace import LaplaceOptions
 from .mcmc import McmcConfig
 from .model import Dataset, ModelSpec
 from .priors import PriorSpec, default_priors
+from .sensitivity import SCAN_TARGETS
 
 __all__ = ["AnalysisConfig", "load_csv", "write_rows_csv"]
 
@@ -77,17 +79,16 @@ class AnalysisConfig:
     raneff_prior: tuple[float, float] | None = None
     slope_precision: float | None = None
     intercept_precision: float | None = None
-    # engine settings
-    grid_step: float = 0.75
-    cutoff: float = 6.0
-    grid_points: int = 401
-    chains: int = 3
-    iterations: int = 500_000
-    burn_in: int = 10_000
-    thin: int = 100
+    # engine settings, defaulting to the engines' own
+    grid_step: float = LaplaceOptions.step
+    cutoff: float = LaplaceOptions.cutoff
+    chains: int = McmcConfig.n_chains
+    iterations: int = McmcConfig.iterations
+    burn_in: int = McmcConfig.burn_in
+    thin: int = McmcConfig.thin
     # sensitivity scan
     scan_param: str = "phi"
-    targets: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
+    targets: tuple[float, ...] = SCAN_TARGETS
     scan_base: tuple[float, float] | None = None
     # output
     out_dir: str = "."
@@ -116,9 +117,8 @@ class AnalysisConfig:
             "slope_precision": "slope_precision", "intercept_precision": "intercept_precision",
         },
         "engine": {
-            "grid_step": "grid_step", "cutoff": "cutoff", "grid_points": "grid_points",
-            "chains": "chains", "iterations": "iterations", "burn_in": "burn_in",
-            "thin": "thin",
+            "grid_step": "grid_step", "cutoff": "cutoff", "chains": "chains",
+            "iterations": "iterations", "burn_in": "burn_in", "thin": "thin",
         },
         "scan": {"param": "scan_param", "targets": "targets", "base": "scan_base"},
         "output": {"dir": "out_dir", "seed": "seed"},
@@ -178,8 +178,7 @@ class AnalysisConfig:
         return pr
 
     def laplace_options(self) -> LaplaceOptions:
-        return LaplaceOptions(step=self.grid_step, cutoff=self.cutoff,
-                              grid_points=self.grid_points)
+        return LaplaceOptions(step=self.grid_step, cutoff=self.cutoff)
 
     def mcmc_config(self) -> McmcConfig:
         return McmcConfig(

@@ -14,6 +14,11 @@ import numpy as np
 
 __all__ = ["MarginalDensity", "kde_density"]
 
+#: abscissae of every gridded marginal: Laplace, kernel estimates, MCMC CSVs
+MARGINAL_POINTS = 401
+#: probability levels of every marginal summary, keyed ``q<level>``
+SUMMARY_QUANTILES = (0.025, 0.5, 0.975)
+
 
 @dataclass(frozen=True)
 class MarginalDensity:
@@ -119,9 +124,9 @@ class MarginalDensity:
         var = max(self.second_moment() - m * m, 0.0)
         return float(np.sqrt(var))
 
-    def summary(self, quantiles=(0.025, 0.5, 0.975)) -> dict:
+    def summary(self) -> dict:
         out = {"mean": self.mean(), "sd": self.sd()}
-        for q in quantiles:
+        for q in SUMMARY_QUANTILES:
             out[f"q{q:g}"] = self.quantile(q)
         return out
 
@@ -148,10 +153,10 @@ def kde_density(
     weights=None,
     name: str = "",
     n_eff: float | None = None,
-    grid_points: int = 401,
     log_scale: bool = False,
 ) -> MarginalDensity:
-    """Gaussian kernel density estimate as a :class:`MarginalDensity`.
+    """Gaussian kernel density estimate as a :class:`MarginalDensity` on
+    ``MARGINAL_POINTS`` abscissae.
 
     The Silverman rule bandwidth uses ``n_eff`` when given (for correlated
     draws pass the effective sample size); otherwise the Kish size implied by
@@ -166,13 +171,7 @@ def kde_density(
     if log_scale:
         if np.any(values <= 0.0):
             raise ValueError("log_scale requires strictly positive values")
-        base = kde_density(
-            np.log(values),
-            weights=weights,
-            name=name,
-            n_eff=n_eff,
-            grid_points=grid_points,
-        )
+        base = kde_density(np.log(values), weights=weights, name=name, n_eff=n_eff)
         return base.map_monotone(np.exp, name)
     if weights is None:
         w = np.full(values.size, 1.0 / values.size)
@@ -186,10 +185,10 @@ def kde_density(
     bandwidth = max(1.06 * sd * max(n_eff, 2.0) ** (-0.2), 1e-12 * (1.0 + abs(mean)))
     lo = float(np.min(values) - 4.0 * bandwidth)
     hi = float(np.max(values) + 4.0 * bandwidth)
-    xs = np.linspace(lo, hi, grid_points)
-    pdf = np.zeros(grid_points)
+    xs = np.linspace(lo, hi, MARGINAL_POINTS)
+    pdf = np.zeros(MARGINAL_POINTS)
     # chunk the kernel matrix so long chains do not allocate n x grid floats
-    step = max(1, int(2e6 // grid_points))
+    step = max(1, int(2e6 // MARGINAL_POINTS))
     for start in range(0, values.size, step):
         vv = values[start : start + step, None]
         ww = w[start : start + step, None]

@@ -6,11 +6,12 @@ over a low-dimensional (<= 4) unconstrained hyperparameter vector:
 gradient (``model.maximize``), takes the two-stage finite-difference
 curvature there (``model.fd_curvature``) and lays the integration points.
 With m <= 2 hyperparameters (q = 0, 1) they are an axis-aligned grid
-(z-step 0.75 in units of the marginal standard deviations) trimmed where the
-log density falls more than 6.0 below the largest value evaluated; with m >= 3 (q = 2) they are
-INLA's central composite design in the eigen-standardized coordinates of the
-curvature, 25 points for m = 4 (Rue, Martino & Chopin 2009, section 6.5), as
-R-INLA's ``int.strategy="auto"`` chooses.  :func:`marginal_hyper` gives the
+(z-step ``GRID_STEP`` in units of the marginal standard deviations) trimmed
+where the log density falls more than ``GRID_CUTOFF`` below the largest value
+evaluated; with m >= 3 (q = 2) they are INLA's central composite design in
+the eigen-standardized coordinates of the curvature, 25 points for m = 4
+(Rue, Martino & Chopin 2009, section 6.5), as R-INLA's
+``int.strategy="auto"`` chooses.  :func:`marginal_hyper` gives the
 marginal of one hyperparameter on its natural scale through
 ``model.TRANSFORMS``, whose derivative gives the Jacobian: on a grid it
 collapses the weights along the other axes and smooths the log weights with
@@ -51,7 +52,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import logsumexp, ndtri
 
-from .density import MarginalDensity, kde_density
+from .density import MARGINAL_POINTS, MarginalDensity, kde_density
 from .distributions import LOG_2PI, DomainError
 from .model import (
     COORD_CAP,
@@ -92,6 +93,9 @@ __all__ = [
 logger = logging.getLogger("betamix")
 
 MAX_HYPER_DIM = 4
+#: default grid step (standardized units) and cutoff (log-density drop)
+GRID_STEP = 0.75
+GRID_CUTOFF = 6.0
 #: grid steps per direction before an axis scan is truncated
 MAX_AXIS_STEPS = 40
 #: CCD radius factor f0 (R-INLA's default): the off-centre design points lie
@@ -281,8 +285,8 @@ def explore_theta(
     theta0: Sequence[float],
     names: Sequence[str],
     transforms: Sequence[str],
-    step: float = 0.75,
-    cutoff: float = 6.0,
+    step: float = GRID_STEP,
+    cutoff: float = GRID_CUTOFF,
 ) -> ThetaGrid:
     """Locate the hyperparameter mode and lay the integration points.
 
@@ -498,8 +502,9 @@ def _lay_ccd(
     )
 
 
-def marginal_hyper(grid: ThetaGrid, j: int, grid_points: int = 401) -> MarginalDensity:
-    """Marginal of hyperparameter ``j`` on its natural scale.
+def marginal_hyper(grid: ThetaGrid, j: int) -> MarginalDensity:
+    """Marginal of hyperparameter ``j`` on its natural scale, on
+    ``density.MARGINAL_POINTS`` abscissae.
 
     On a grid, collapses the weights along the other axes and interpolates
     the log weights with a natural cubic spline on the unconstrained scale;
@@ -512,24 +517,24 @@ def marginal_hyper(grid: ThetaGrid, j: int, grid_points: int = 401) -> MarginalD
     name = grid.names[j]
     transform = grid.transforms[j]
     if grid.integration == "ccd":
-        dens = kde_density(grid.hyper_draws[:, j], grid_points=grid_points)
+        dens = kde_density(grid.hyper_draws[:, j])
         return _natural_density(dens.x, dens.pdf, transform, name)
     zvals = grid.z_index[:, j]
     uniq, inv = np.unique(zvals, return_inverse=True)
     pmf = np.zeros(uniq.size)
     np.add.at(pmf, inv, grid.weights)
-    theta_nodes = grid.mode[j] + grid.sigma[j] * uniq * grid.step
+    theta_nodes = _lattice(grid.mode[j], grid.sigma[j], grid.step, uniq)
 
     if uniq.size >= 4:
         logpmf = np.log(np.maximum(pmf, 1e-300))
         spline = CubicSpline(theta_nodes, logpmf, bc_type="natural")
-        fine = np.linspace(theta_nodes[0], theta_nodes[-1], grid_points)
+        fine = np.linspace(theta_nodes[0], theta_nodes[-1], MARGINAL_POINTS)
         logpdf = spline(fine)
         pdf = np.exp(logpdf - np.max(logpdf))
     else:
         # degenerate collapse: fall back to the curvature Gaussian
         sd = grid.sigma[j]
-        fine = np.linspace(grid.mode[j] - 6.0 * sd, grid.mode[j] + 6.0 * sd, grid_points)
+        fine = np.linspace(grid.mode[j] - 6.0 * sd, grid.mode[j] + 6.0 * sd, MARGINAL_POINTS)
         pdf = np.exp(-0.5 * ((fine - grid.mode[j]) / sd) ** 2)
     return _natural_density(fine, pdf, transform, name)
 
@@ -542,16 +547,17 @@ def _natural_density(fine: np.ndarray, pdf: np.ndarray, transform: str,
                            name=name)
 
 
-def marginal_latent(grid: ThetaGrid, k: int, n_blocks: int, q: int, grid_points: int,
+def marginal_latent(grid: ThetaGrid, k: int, n_blocks: int, q: int,
                     name: str = "") -> MarginalDensity:
-    """Mixture-of-Gaussians marginal of latent component ``k`` over the grid."""
+    """Mixture-of-Gaussians marginal of latent component ``k`` over the grid,
+    on ``density.MARGINAL_POINTS`` abscissae."""
     if grid.conditionals is None:
         raise ValueError("grid carries no latent conditionals")
     means = np.array([c.mean[k] for c in grid.conditionals])
     sds = np.sqrt(np.array([c.var(k, n_blocks, q) for c in grid.conditionals]))
     lo = float(np.min(means - 6.0 * sds))
     hi = float(np.max(means + 6.0 * sds))
-    xs = np.linspace(lo, hi, grid_points)
+    xs = np.linspace(lo, hi, MARGINAL_POINTS)
     zmat = (xs[None, :] - means[:, None]) / sds[:, None]
     dens = np.exp(-0.5 * zmat * zmat) / (np.sqrt(2.0 * np.pi) * sds[:, None])
     pdf = grid.weights @ dens
@@ -565,8 +571,9 @@ def marginal_latent(grid: ThetaGrid, k: int, n_blocks: int, q: int, grid_points:
 
 @dataclass(frozen=True)
 class LaplaceOptions:
-    """Grid step and cutoff (standardized units, log-density drop), points
-    per marginal, gof switch.
+    """Grid step and cutoff (standardized units, log-density drop) and the
+    goodness-of-fit switch.  Every marginal has ``density.MARGINAL_POINTS``
+    abscissae.
 
     The integration rule over theta follows the number m of hyperparameters,
     as R-INLA's ``int.strategy="auto"``: the grid for m <= 2 (q = 0 and 1)
@@ -574,9 +581,8 @@ class LaplaceOptions:
     ``cutoff`` apply to the grid only.  Bad values raise ``DomainError``
     here, not as an unrelated error after the hyper-mode search."""
 
-    step: float = 0.75
-    cutoff: float = 6.0
-    grid_points: int = 401
+    step: float = GRID_STEP
+    cutoff: float = GRID_CUTOFF
     compute_gof: bool = True
 
     def __post_init__(self) -> None:
@@ -584,9 +590,6 @@ class LaplaceOptions:
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0.0):
                 raise DomainError(f"{name} must be finite and positive, got {value!r}")
-        if not (isinstance(self.grid_points, (int, np.integer)) and self.grid_points >= 2):
-            raise DomainError(f"grid_points must be an integer of at least 2, got "
-                              f"{self.grid_points!r}")
 
 
 @dataclass
@@ -617,8 +620,7 @@ class FitResult:
         if name in self.latent_names:
             k = self.latent_names.index(name)
             ctx = self._require_ctx()
-            return marginal_latent(self.theta_grid, k, ctx.n_groups, ctx.q,
-                                   self.options.grid_points, name=name)
+            return marginal_latent(self.theta_grid, k, ctx.n_groups, ctx.q, name=name)
         raise KeyError(f"unknown parameter {name!r}")
 
     def interval(self, name: str, level: float = 0.95) -> tuple[float, float]:
@@ -793,18 +795,25 @@ def reweight_fit(fit: FitResult, priors: PriorSpec) -> tuple[FitResult, int]:
     objective = fit._objective
 
     def shifted_many(points: np.ndarray) -> np.ndarray:
-        return (objective.many(points) + ctx.hyper_log_prior(points)
-                - objective.ctx.hyper_log_prior(points))
+        return _prior_shift(objective.many(points), points, ctx, objective.ctx)
 
     zs = list(grid.evaluated)
     points = _lattice(grid.mode, grid.sigma, grid.step, zs)
-    moved = (np.array(list(grid.evaluated.values())) + ctx.hyper_log_prior(points)
-             - old.hyper_log_prior(points))
+    moved = _prior_shift(np.array(list(grid.evaluated.values())), points, ctx, old)
     new_grid = _grid(shifted_many, dict(zip(zs, moved.tolist())), grid.mode, grid.sigma,
                      grid.curv, grid.step, fit.options.cutoff, grid.names, grid.transforms)
     timings = {"reweight": time.perf_counter() - t0}
     return (_posterior(ctx, objective, new_grid, fit.options, fit.model_name, timings),
             len(new_grid.evaluated) - len(zs))
+
+
+def _prior_shift(values: np.ndarray, points: np.ndarray, to: ModelContext,
+                 frm: ModelContext) -> np.ndarray:
+    """Log posterior ``values`` at the rows of ``points`` moved from ``frm``'s
+    hyper prior to ``to``'s: ``values + log pi_to - log pi_frm``, summed in
+    that order so a shifted value is the same bit for bit wherever it is
+    made."""
+    return values + to.hyper_log_prior(points) - frm.hyper_log_prior(points)
 
 
 def same_node_marginals(fit: FitResult, reweighted: FitResult,
@@ -819,15 +828,14 @@ def same_node_marginals(fit: FitResult, reweighted: FitResult,
     cutoff = fit.options.cutoff
     zs = list(new.evaluated)
     points = _lattice(new.mode, new.sigma, new.step, zs)
-    back = (np.array(list(new.evaluated.values())) + fit._require_ctx().hyper_log_prior(points)
-            - reweighted._require_ctx().hyper_log_prior(points))
+    back = _prior_shift(np.array(list(new.evaluated.values())), points, fit._require_ctx(),
+                        reweighted._require_ctx())
     before = {z: old.evaluated.get(z, v) for z, v in zip(zs, back.tolist())}
     kept = sorted(set(_within(before, max(before.values()), cutoff))
                   | set(_within(new.evaluated, max(new.evaluated.values()), cutoff)))
     j = new.names.index(name)
     return tuple(marginal_hyper(_grid_over(values, kept, new.mode, new.sigma, new.curv, new.step,
-                                           new.names, new.transforms), j,
-                                grid_points=fit.options.grid_points)
+                                           new.names, new.transforms), j)
                  for values in (before, new.evaluated))
 
 
@@ -843,10 +851,9 @@ def _posterior(ctx: ModelContext, objective: _ThetaObjective, grid: ThetaGrid,
     marginals: dict[str, MarginalDensity] = {}
     nb = ctx.n_groups * ctx.q
     for k, name in enumerate(ctx.beta_names):
-        marginals[name] = marginal_latent(grid, nb + k, ctx.n_groups, ctx.q, opts.grid_points,
-                                          name=name)
+        marginals[name] = marginal_latent(grid, nb + k, ctx.n_groups, ctx.q, name=name)
     for j, name in enumerate(ctx.hyper_names):
-        marginals[name] = marginal_hyper(grid, j, grid_points=opts.grid_points)
+        marginals[name] = marginal_hyper(grid, j)
     if ctx.q == 2:
         if grid.integration == "ccd":
             marginals["rho"] = kde_density(covariance_rho(grid.hyper_draws[:, 1:]), name="rho")

@@ -333,7 +333,7 @@ def profile_bounds(
     peak: float,
     scale: float,
     drop: float,
-    t_max: float | None = None,
+    t_max: float,
 ) -> tuple[float, float, int]:
     """Find where a profiled log likelihood falls ``drop`` below ``peak``.
 
@@ -341,9 +341,9 @@ def profile_bounds(
     (growing by half each probe after the first 20, at most 80 probes a
     side), brackets the first sign change of ``profiled(u) - (peak - drop)``
     on each side, and polishes the crossing with Brent's method.  A side
-    that never crosses within the probe range (or within ``t_max`` of the
-    center when given) is reported as infinite, which callers map to an
-    open-ended interval.  Returns ``(lower, upper, n_eval)``.
+    that never crosses within the probe range, or within ``t_max`` of the
+    center, is reported as infinite, which callers map to an open-ended
+    interval.  Returns ``(lower, upper, n_eval)``.
     """
     if scale <= 0.0 or not np.isfinite(scale):
         raise DomainError("profile scale must be positive and finite")
@@ -363,7 +363,7 @@ def profile_bounds(
         t = stride
         bound = sign * np.inf
         for k in range(_MAX_PROBES):
-            if t_max is not None and t > t_max:
+            if t > t_max:
                 break
             g_t = g(center + sign * t)
             if g_t < 0.0:

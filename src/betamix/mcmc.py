@@ -71,7 +71,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from ._io import atomic_write
-from .density import MarginalDensity, kde_density
+from .density import SUMMARY_QUANTILES, MarginalDensity, kde_density
 from .distributions import DomainError
 from .model import COORD_CAP, MU_EPS, Dataset, HyperPoint, ModelContext, ModelSpec, fork_map
 from .priors import PriorSpec, default_priors
@@ -516,49 +516,39 @@ class ChainOutput:
     def ess(self, name: str) -> float:
         return effective_sample_size(self.draws(name, pooled=False))
 
-    def max_rhat(self, names: tuple[str, ...] | None = None) -> float:
-        return max(self.rhat(n) for n in (names or self.names))
+    def max_rhat(self) -> float:
+        return max(self.rhat(n) for n in self.names)
 
-    def kde(self, name: str, grid_points: int = 401,
-            log_scale: bool | None = None) -> MarginalDensity:
-        """Pooled-chain kernel density estimate for one parameter.
+    def kde(self, name: str) -> MarginalDensity:
+        """Pooled-chain kernel density estimate for one parameter, on
+        ``density.MARGINAL_POINTS`` abscissae.
 
-        ``log_scale=None`` picks the log-scale kernel automatically for the
-        positive hyperparameters (dispersion and random-effect precisions),
-        whose right-skewed posteriors a plain Gaussian kernel oversmooths.
+        The positive hyperparameters (dispersion and random-effect
+        precisions) get the log-scale kernel, since a plain Gaussian kernel
+        oversmooths their right-skewed posteriors; every other parameter the
+        plain one.
         """
         pooled = self.draws(name)
-        if log_scale is None:
-            log_scale = name in _POSITIVE_SITES and bool(np.all(pooled > 0.0))
-        return kde_density(
-            pooled,
-            name=name,
-            n_eff=self.ess(name),
-            grid_points=grid_points,
-            log_scale=log_scale,
-        )
+        log_scale = name in _POSITIVE_SITES and bool(np.all(pooled > 0.0))
+        return kde_density(pooled, name=name, n_eff=self.ess(name), log_scale=log_scale)
 
-    def summary(self, names: tuple[str, ...] | None = None) -> dict[str, dict[str, float]]:
+    def summary(self) -> dict[str, dict[str, float]]:
         out = {}
-        for name in names or self.names:
+        for name in self.names:
             pooled = self.draws(name)
-            out[name] = {
-                "mean": float(np.mean(pooled)),
-                "sd": float(np.std(pooled, ddof=1)),
-                "q0.025": float(np.quantile(pooled, 0.025)),
-                "q0.5": float(np.quantile(pooled, 0.5)),
-                "q0.975": float(np.quantile(pooled, 0.975)),
-                "rhat": self.rhat(name),
-                "ess": self.ess(name),
-            }
+            row = {"mean": float(np.mean(pooled)), "sd": float(np.std(pooled, ddof=1))}
+            for q in SUMMARY_QUANTILES:
+                row[f"q{q:g}"] = float(np.quantile(pooled, q))
+            out[name] = {**row, "rhat": self.rhat(name), "ess": self.ess(name)}
         return out
 
 
-def export_chains(output: ChainOutput, out_dir, prefix: str = "chain") -> list[str]:
-    """Write one CSV of stored draws per chain; returns the paths."""
+def export_chains(output: ChainOutput, out_dir) -> list[str]:
+    """Write one CSV of stored draws per chain, ``chain_<c>.csv``; returns
+    the paths."""
     paths = []
     for c in range(output.samples.shape[0]):
-        path = Path(out_dir) / f"{prefix}_{c + 1}.csv"
+        path = Path(out_dir) / f"chain_{c + 1}.csv"
         with atomic_write(path) as fh:
             writer = csv.writer(fh)
             writer.writerow(output.names)

@@ -52,11 +52,6 @@ __all__ = [
 _GH_NODES = 25
 
 
-def _gauss_hermite(n: int = _GH_NODES) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.hermite.hermgauss(n)
-    return nodes, weights / np.sqrt(np.pi)
-
-
 def _rowwise_loglik(fit: FitResult, cond, phi: float, nodes, ctx) -> np.ndarray:
     """Per-row log likelihood at every Gauss-Hermite abscissa, (n, k)."""
     mean, var = cond.predictor_moments(ctx.X, ctx.Z, ctx.groups, ctx.n_groups, ctx.q)
@@ -85,7 +80,8 @@ def _gof_pass(fit: FitResult) -> _GofPass:
     grid = fit.theta_grid
     if grid is None or grid.conditionals is None:
         raise DomainError("fit carries no hyperparameter grid with conditionals")
-    nodes, gh_w = _gauss_hermite()
+    nodes, gh_w = np.polynomial.hermite.hermgauss(_GH_NODES)
+    gh_w = gh_w / np.sqrt(np.pi)
     log_gh_w = np.log(gh_w)
     phis = grid.natural_values(0)
 
@@ -141,7 +137,7 @@ class CpoResult:
         return int(self.values.size)
 
 
-def cpo(fit: FitResult, data=None) -> CpoResult:
+def cpo(fit: FitResult) -> CpoResult:
     """Conditional predictive ordinate of every observation.
 
     Uses the harmonic identity: the posterior expectation of the reciprocal
@@ -151,8 +147,6 @@ def cpo(fit: FitResult, data=None) -> CpoResult:
     caller's row order).
     """
     ctx = fit._require_ctx()
-    if data is not None and data.fingerprint() != fit.data_fingerprint:
-        raise DomainError("data does not match the dataset this fit was computed from")
     log_cpo_orig = ctx.data.to_original_order(-_gof_pass(fit).log_inv_cpo)
     values = np.exp(log_cpo_orig)
     zero_rows = tuple(int(i) for i in np.flatnonzero(values <= 0.0))

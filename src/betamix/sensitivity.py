@@ -55,6 +55,8 @@ __all__ = [
 
 #: Reference gamma prior for precision sensitivity scans.
 PHI_SCAN_DEFAULT = GammaShapeRate(1.0, 0.01)
+#: default target Hellinger distances of a scan
+SCAN_TARGETS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
 
 
 def _merged_grid_bc(f: MarginalDensity, g: MarginalDensity) -> float:
@@ -245,7 +247,7 @@ def sensitivity_scan(
     spec: ModelSpec,
     priors: PriorSpec | None = None,
     param: str = "phi",
-    targets: Sequence[float] = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6),
+    targets: Sequence[float] = SCAN_TARGETS,
     base_prior: GammaShapeRate | None = None,
     options: LaplaceOptions | None = None,
 ) -> SensitivityReport:

@@ -3,6 +3,7 @@ that validates against the shipped schema; bad input returns 1 with a
 one-line JSON error record on stderr."""
 
 import json
+import math
 from importlib.resources import files
 
 import jsonschema
@@ -10,6 +11,9 @@ import pytest
 
 from betamix import cli
 from betamix.cli import main
+from betamix.config import write_rows_csv
+from betamix.likelihood import ProfileInterval
+from betamix.simulate import simulate_study
 
 SCHEMA = json.loads((files("betamix") / "schemas" / "summary.schema.json").read_text())
 
@@ -116,6 +120,29 @@ def test_fit_summary_names_the_integration_rule(study_csv, tmp_path, model, inte
         assert block["hyper_points"] > 25
 
 
+def test_open_profile_end_is_written_as_null(study_csv, tmp_path, monkeypatch):
+    def open_above(fit, name, level):
+        return ProfileInterval(name, level, fit.estimate(name) / 2.0, math.inf, 1.92, 0)
+
+    monkeypatch.setattr(cli, "profile_interval", open_above)
+    assert main(["ml", "--profile", "--data", str(study_csv), "--out-dir", str(tmp_path)]) == 0
+    summary = _validated(tmp_path, "ml")
+    assert summary["interval_method"] == "profile"
+    for row in summary["parameters"].values():
+        assert row["upper"] is None and row["lower"] is not None
+    assert '"upper": null' in (tmp_path / "ml_summary.json").read_text()
+
+
+def test_simulate_without_flags_writes_the_default_study(tmp_path):
+    assert main(["simulate", "--out-dir", str(tmp_path)]) == 0
+    summary = _validated(tmp_path, "simulate")
+    study = simulate_study(seed=0)
+    assert summary["truth"] == study.truth.as_dict()
+    write_rows_csv(study.rows, tmp_path / "direct.csv")
+    written = (tmp_path / summary["files"]["data"]).read_bytes()
+    assert written == (tmp_path / "direct.csv").read_bytes()
+
+
 def test_elicit_writes_a_valid_summary(tmp_path):
     assert main(["elicit", "--range", "0.693", "--out-dir", str(tmp_path)]) == 0
     summary = _validated(tmp_path, "elicit")
@@ -138,16 +165,20 @@ def test_engine_is_not_an_option(tmp_path, capsys, command):
     assert err["type"] == "UsageError" and "--engine" in err["message"]
 
 
-def test_engine_kind_is_an_unknown_config_key(study_csv, tmp_path, capsys):
+@pytest.mark.parametrize("key, value", [("kind", "mcmc"), ("grid_points", 201)],
+                         ids=["kind", "grid_points"])
+def test_engine_kind_is_an_unknown_config_key(study_csv, tmp_path, capsys, key, value):
+    # deleted engine settings: the subcommand picks the engine, and every
+    # marginal has density.MARGINAL_POINTS abscissae
     config = tmp_path / "config.json"
     config.write_text(json.dumps(
-        {"engine": {"kind": "mcmc", "chains": 2, "iterations": 300, "burn_in": 100, "thin": 1}}
+        {"engine": {key: value, "chains": 2, "iterations": 300, "burn_in": 100, "thin": 1}}
     ))
     code = main(["fit", "--data", str(study_csv), "--config", str(config),
                  "--out-dir", str(tmp_path)])
     assert code == 1
     err = _error_record(capsys)
-    assert err["type"] == "DomainError" and "'kind'" in err["message"]
+    assert err["type"] == "DomainError" and f"'{key}'" in err["message"]
     assert not (tmp_path / "fit_summary.json").exists()
 
 

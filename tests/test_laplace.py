@@ -9,7 +9,7 @@ from scipy import integrate, optimize, stats
 from scipy.special import gammaln
 
 from betamix import laplace, model
-from betamix.density import MarginalDensity
+from betamix.density import MARGINAL_POINTS, MarginalDensity
 from betamix.distributions import DomainError, GammaShapeRate, gamma_logpdf
 from betamix.laplace import (
     LaplaceOptions,
@@ -667,10 +667,8 @@ def test_unknown_parameter_raises(default_fit):
 
 
 @pytest.mark.parametrize("bad", [{"step": 0.0}, {"step": -0.5}, {"step": np.inf},
-                                 {"cutoff": -1.0}, {"cutoff": np.nan}, {"grid_points": 1},
-                                 {"grid_points": 401.0}],
-                         ids=["step=0", "step<0", "step=inf", "cutoff<0", "cutoff=nan",
-                              "grid_points=1", "grid_points=401.0"])
+                                 {"cutoff": -1.0}, {"cutoff": np.nan}],
+                         ids=["step=0", "step<0", "step=inf", "cutoff<0", "cutoff=nan"])
 def test_bad_options_raise_at_construction(bad):
     (name,) = bad
     with pytest.raises(DomainError, match=name):
@@ -679,7 +677,7 @@ def test_bad_options_raise_at_construction(bad):
 
 def test_group_effect_marginal_uses_the_fit_grid_points(default_fit):
     name = next(n for n in default_fit.latent_names if n.startswith("b1_intercept["))
-    assert default_fit.marginal(name).x.size == default_fit.options.grid_points
+    assert default_fit.marginal(name).x.size == MARGINAL_POINTS
 
 
 def _betamix_warnings(caplog) -> list[str]:

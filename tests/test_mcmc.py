@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from betamix import mcmc, model
+from betamix.density import kde_density
 from betamix.distributions import DomainError
 from betamix.mcmc import (
     McmcConfig,
@@ -231,7 +232,8 @@ def test_kde_uses_log_scale_for_positive_hypers(reduced_mcmc):
     assert k_phi.x[0] > 0.0
     k_beta = reduced_mcmc.kde("beta_intercept")
     assert k_beta.x[0] < k_beta.x[-1]
-    forced = reduced_mcmc.kde("phi", log_scale=False)
+    # the plain kernel on the same draws and effective size
+    forced = kde_density(reduced_mcmc.draws("phi"), name="phi", n_eff=reduced_mcmc.ess("phi"))
     assert forced.x[0] < k_phi.x[0]
 
 
