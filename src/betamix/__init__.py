@@ -17,7 +17,7 @@ CPO; prior robustness is quantified with calibrated Hellinger scans.
 from .config import AnalysisConfig, load_csv
 from .density import MarginalDensity, kde_density
 from .distributions import DomainError, GammaShapeRate
-from .laplace import FitResult, LaplaceOptions, ThetaGrid, fit_laplace
+from .laplace import FitResult, LaplaceOptions, fit_laplace
 from .likelihood import (
     MLFit,
     ProfileInterval,
@@ -35,22 +35,15 @@ from .priors import (
     elicit_gamma_prior,
     elicited_range_roundtrip,
 )
-from .selection import CpoResult, ModelComparison, compare_models, cpo, dic
-from .sensitivity import (
-    SensitivityReport,
-    calibrate_prior,
-    gamma_hellinger_closed,
-    hellinger,
-    sensitivity_scan,
-)
-from .simulate import SimulatedStudy, SimulationTruth, simulate_study
+from .selection import ModelComparison, compare_models, cpo, dic
+from .sensitivity import calibrate_prior, gamma_hellinger_closed, hellinger, sensitivity_scan
+from .simulate import SimulatedStudy, simulate_study
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisConfig",
     "ChainOutput",
-    "CpoResult",
     "Dataset",
     "DomainError",
     "ElicitationInput",
@@ -66,10 +59,7 @@ __all__ = [
     "ModelSpec",
     "PriorSpec",
     "ProfileInterval",
-    "SensitivityReport",
     "SimulatedStudy",
-    "SimulationTruth",
-    "ThetaGrid",
     "WishartPrior",
     "calibrate_prior",
     "compare_models",

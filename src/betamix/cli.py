@@ -27,14 +27,15 @@ import numpy as np
 
 from ._io import atomic_write
 from .config import AnalysisConfig, load_csv, write_rows_csv
-from .distributions import DomainError
+from .density import INTERVAL_LEVEL
+from .distributions import DomainError, check_probability
 from .laplace import FitResult, fit_laplace
-from .likelihood import check_level, ml_fit, profile_interval
+from .likelihood import ml_fit, profile_interval
 from .mcmc import export_chains, run_mcmc
 from .model import LINKS, RANDOM_KINDS, Dataset
-from .priors import ElicitationInput, elicit_gamma_prior, elicited_range_roundtrip
+from .priors import ELICIT_COVERAGE, ElicitationInput, elicit_gamma_prior, elicited_range_roundtrip
 from .selection import compare_models
-from .sensitivity import sensitivity_scan
+from .sensitivity import SCANS, sensitivity_scan
 from .simulate import simulate_study
 
 __all__ = ["main"]
@@ -189,7 +190,7 @@ def _cmd_mcmc(config: AnalysisConfig, args, out_dir: Path) -> dict:
 
 
 def _cmd_ml(config: AnalysisConfig, args, out_dir: Path) -> dict:
-    check_level(args.level)  # rejected before any data is loaded or fit
+    check_probability(args.level, "level")  # rejected before any data is loaded or fit
     t0 = time.perf_counter()
     data = _load_data(config)
     t_load = time.perf_counter()
@@ -403,14 +404,14 @@ def _build_parser() -> _Parser:
         if name == "ml":
             p.add_argument("--profile", action="store_true",
                            help="profile-likelihood intervals instead of Wald")
-            p.add_argument("--level", type=float, default=0.95)
+            p.add_argument("--level", type=float, default=INTERVAL_LEVEL)
         if name == "sensitivity":
-            p.add_argument("--param", choices=["phi", "tau"], help="scanned parameter")
+            p.add_argument("--param", choices=list(SCANS), help="scanned parameter")
             p.add_argument("--targets", help="comma-separated Hellinger targets")
         if name == "elicit":
             p.add_argument("--range", type=float, help="plausible |effect| range R")
             p.add_argument("--df", type=float, default=1.0)
-            p.add_argument("--coverage", type=float, default=0.95)
+            p.add_argument("--coverage", type=float, default=ELICIT_COVERAGE)
         if name == "simulate":
             for key, kwargs in _STUDY_FLAGS.items():
                 p.add_argument("--" + key.replace("_", "-"), default=argparse.SUPPRESS, **kwargs)

@@ -43,7 +43,7 @@ from .laplace import LaplaceOptions
 from .mcmc import McmcConfig
 from .model import Dataset, ModelSpec
 from .priors import PriorSpec, default_priors
-from .sensitivity import SCAN_TARGETS
+from .sensitivity import SCAN_PARAM, SCAN_TARGETS
 
 __all__ = ["AnalysisConfig", "load_csv", "write_rows_csv"]
 
@@ -87,7 +87,7 @@ class AnalysisConfig:
     burn_in: int = McmcConfig.burn_in
     thin: int = McmcConfig.thin
     # sensitivity scan
-    scan_param: str = "phi"
+    scan_param: str = SCAN_PARAM
     targets: tuple[float, ...] = SCAN_TARGETS
     scan_base: tuple[float, float] | None = None
     # output

@@ -18,6 +18,8 @@ __all__ = ["MarginalDensity", "kde_density"]
 MARGINAL_POINTS = 401
 #: probability levels of every marginal summary, keyed ``q<level>``
 SUMMARY_QUANTILES = (0.025, 0.5, 0.975)
+#: probability of an interval whose level is not given: equal-tail, Wald, profile
+INTERVAL_LEVEL = 0.95
 
 
 @dataclass(frozen=True)
@@ -93,7 +95,7 @@ class MarginalDensity:
         t = min(max(t, 0.0), h)
         return float(x[i] + t)
 
-    def equal_tail_interval(self, level: float = 0.95) -> tuple[float, float]:
+    def equal_tail_interval(self, level: float = INTERVAL_LEVEL) -> tuple[float, float]:
         alpha = (1.0 - level) / 2.0
         return self.quantile(alpha), self.quantile(1.0 - alpha)
 

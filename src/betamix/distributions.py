@@ -40,6 +40,12 @@ class DomainError(ValueError):
     """An argument left the support of the distribution."""
 
 
+def check_probability(value: float, name: str) -> None:
+    """Raise ``DomainError`` naming ``name`` unless ``value`` lies strictly in (0, 1)."""
+    if not 0.0 < value < 1.0:
+        raise DomainError(f"{name} must lie strictly in (0, 1)")
+
+
 @dataclass(frozen=True)
 class GammaShapeRate:
     """Gamma distribution with shape ``shape`` and rate ``rate`` (mean shape/rate)."""

@@ -135,8 +135,7 @@ class ModeResult:
         return LatentConditional(self.x[i], v_bb[i], c_bx[i], v_xx[i])
 
 
-def find_conditional_mode(ctx: ModelContext, thetas: np.ndarray,
-                          x0: np.ndarray | None = None) -> ModeResult:
+def find_conditional_mode(ctx: ModelContext, thetas: np.ndarray, x0: np.ndarray) -> ModeResult:
     """Newton maximization of the joint over the latent field at B fixed
     hyper points, the rows of ``thetas`` (B, m), from ``x0`` (B, d).
 
@@ -165,8 +164,7 @@ def find_conditional_mode(ctx: ModelContext, thetas: np.ndarray,
         done = np.abs(grad).max() < NEWTON_TOL
         return grad, (grad if done else chol.solve(grad)), chol.ok
 
-    x = np.zeros((len(thetas), ctx.n_latent)) if x0 is None else x0
-    asc = newton_ascent(values, newton, x)
+    asc = newton_ascent(values, newton, x0)
     if not np.count_nonzero(asc.found):
         raise ModeConvergenceError(f"no conditional mode (|grad| = {asc.grad_norm.min():.3g})")
     return ModeResult(asc.x, chol, asc.value, asc.grad_norm, asc.found)
@@ -622,9 +620,6 @@ class FitResult:
             ctx = self._require_ctx()
             return marginal_latent(self.theta_grid, k, ctx.n_groups, ctx.q, name=name)
         raise KeyError(f"unknown parameter {name!r}")
-
-    def interval(self, name: str, level: float = 0.95) -> tuple[float, float]:
-        return self.marginal(name).equal_tail_interval(level)
 
     def summary(self) -> dict[str, dict[str, float]]:
         return {name: self.marginals[name].summary() for name in self.param_names}

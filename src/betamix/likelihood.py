@@ -45,7 +45,8 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import chdtri, ndtri
 
-from .distributions import DomainError
+from .density import INTERVAL_LEVEL
+from .distributions import DomainError, check_probability
 from .model import (
     COORD_CAP,
     TRANSFORMS,
@@ -261,27 +262,16 @@ class MLFit:
     def se_of(self, param: str | int) -> float:
         return float(self.se[self.index(param)])
 
-    def wald_interval(self, param: str | int, level: float = 0.95) -> tuple[float, float]:
+    def wald_interval(self, param: str | int,
+                      level: float = INTERVAL_LEVEL) -> tuple[float, float]:
         """Normal-theory interval on the unconstrained scale, transformed back."""
-        check_level(level)
+        check_probability(level, "level")
         j = self.index(param)
         z = float(ndtri(0.5 * (1.0 + level)))
         lo = self.vector[j] - z * self.se_unconstrained[j]
         hi = self.vector[j] + z * self.se_unconstrained[j]
         t = self.transforms[j]
         return (float(natural_scale(lo, t)), float(natural_scale(hi, t)))
-
-    def summary(self) -> dict[str, dict[str, float]]:
-        out = {}
-        for j, name in enumerate(self.names):
-            lo, hi = self.wald_interval(j)
-            out[name] = {
-                "estimate": float(self.params[j]),
-                "se": float(self.se[j]),
-                "wald_lower": lo,
-                "wald_upper": hi,
-            }
-        return out
 
 
 def ml_fit(data: Dataset, spec: ModelSpec) -> MLFit:
@@ -387,13 +377,8 @@ def profile_bounds(
     return bounds[0], bounds[1], count
 
 
-def check_level(level: float) -> None:
-    """Raise ``DomainError`` unless the interval level lies strictly in (0, 1)."""
-    if not 0.0 < level < 1.0:
-        raise DomainError("level must lie strictly in (0, 1)")
-
-
-def profile_interval(fit: MLFit, param: str | int, level: float = 0.95) -> ProfileInterval:
+def profile_interval(fit: MLFit, param: str | int,
+                     level: float = INTERVAL_LEVEL) -> ProfileInterval:
     """Profile likelihood interval for one parameter of an ``ml_fit`` result.
 
     The nuisance parameters are re-optimized at every probe point, warm
@@ -403,7 +388,7 @@ def profile_interval(fit: MLFit, param: str | int, level: float = 0.95) -> Profi
     """
     if fit._lik is None:
         raise DomainError("this MLFit does not carry its likelihood evaluator")
-    check_level(level)
+    check_probability(level, "level")
     j = fit.index(param)
     lik = fit._lik
     drop = float(chdtri(1, 1.0 - level)) / 2.0

@@ -9,7 +9,10 @@ scale).  Choosing the prior so that ``P(|b| < R) = q`` with ``df = d`` gives
 
 where ``t`` is the upper ``1 - (1 - q)/2`` Student-t quantile with ``d``
 degrees of freedom.  For the standard choice R = ln 2 (random effect halves or
-doubles the odds at 95% coverage), d = 1, this yields Gamma(0.5, 0.001488).
+doubles the odds at 95% coverage), d = 1, this yields Gamma(0.5, 0.00148795).
+``DEFAULT_TAU_PRIOR`` keeps Gamma(0.5, 0.001487), that rate cut to four
+significant figures: it is the prior every default q = 1 result is computed
+under, so rounding it up would move all of them.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Union
 import numpy as np
 from scipy.special import stdtrit
 
-from .distributions import DomainError, GammaShapeRate
+from .distributions import DomainError, GammaShapeRate, check_probability
 
 __all__ = [
     "WishartPrior",
@@ -39,6 +42,9 @@ DEFAULT_PHI_PRIOR = GammaShapeRate(1.0, 0.001)
 
 #: Default elicited gamma prior on a scalar random-effect precision.
 DEFAULT_TAU_PRIOR = GammaShapeRate(0.5, 0.001487)
+
+#: Probability ``q`` that an elicited range covers the random effect, unless given.
+ELICIT_COVERAGE = 0.95
 
 
 def _wishart_default_scale() -> np.ndarray:
@@ -115,15 +121,14 @@ class ElicitationInput:
 
     range_r: float
     df: float
-    coverage: float = 0.95
+    coverage: float = ELICIT_COVERAGE
 
     def __post_init__(self) -> None:
         if not self.range_r > 0.0:
             raise DomainError("range must be positive")
         if not self.df > 0.0:
             raise DomainError("df must be positive")
-        if not (0.0 < self.coverage < 1.0):
-            raise DomainError("coverage must lie strictly in (0, 1)")
+        check_probability(self.coverage, "coverage")
 
 
 def elicit_gamma_prior(inp: ElicitationInput) -> GammaShapeRate:
@@ -138,15 +143,14 @@ def elicit_gamma_prior(inp: ElicitationInput) -> GammaShapeRate:
     return GammaShapeRate(shape, rate)
 
 
-def elicited_range_roundtrip(g: GammaShapeRate, coverage: float = 0.95) -> float:
+def elicited_range_roundtrip(g: GammaShapeRate, coverage: float = ELICIT_COVERAGE) -> float:
     """Invert :func:`elicit_gamma_prior`: the range R implied by a gamma prior.
 
     The random effect scaled by the marginal-t squared scale ``a2/a1`` is a
     standard t with ``2*a1`` degrees of freedom, so
     ``R = t_quantile * sqrt(a2/a1)``.
     """
-    if not (0.0 < coverage < 1.0):
-        raise DomainError("coverage must lie strictly in (0, 1)")
+    check_probability(coverage, "coverage")
     df = 2.0 * g.shape
     t = float(stdtrit(df, 1.0 - (1.0 - coverage) / 2.0))
     return float(t * np.sqrt(g.rate / g.shape))

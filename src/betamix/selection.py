@@ -132,10 +132,6 @@ class CpoResult:
     mean_log: float
     zero_rows: tuple[int, ...]
 
-    @property
-    def n_obs(self) -> int:
-        return int(self.values.size)
-
 
 def cpo(fit: FitResult) -> CpoResult:
     """Conditional predictive ordinate of every observation.

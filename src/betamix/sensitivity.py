@@ -13,11 +13,10 @@ the old mode.  The sensitivity ratio S (posterior shift divided by prior
 shift) summarizes robustness: S well below 1 means the data wash out the
 prior perturbation.
 
-``hellinger`` accepts either callables (integrated by adaptive quadrature)
-or gridded :class:`~betamix.density.MarginalDensity` objects (integrated by
-trapezoid on the union of their grids); ``gamma_hellinger_closed`` is the
-closed form for two gammas, used both as the calibration objective and as
-an oracle for the quadrature path.
+``hellinger`` takes two gridded :class:`~betamix.density.MarginalDensity`
+objects and integrates by trapezoid on the union of their grids;
+``gamma_hellinger_closed`` is the closed form for two gammas, the
+calibration objective.
 
 Calibration holds the shape fixed and moves the rate upward until the
 closed-form distance hits the target.  The reference prior for precision
@@ -32,13 +31,12 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import gammaln
 
 from ._io import atomic_write
 from .density import MarginalDensity
-from .distributions import DomainError, GammaShapeRate
+from .distributions import DomainError, GammaShapeRate, check_probability
 from .laplace import FitResult, LaplaceOptions, fit_laplace, reweight_fit, same_node_marginals
 from .model import Dataset, ModelSpec, fork_map
 from .priors import PriorSpec, default_priors
@@ -59,47 +57,16 @@ PHI_SCAN_DEFAULT = GammaShapeRate(1.0, 0.01)
 SCAN_TARGETS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
 
 
-def _merged_grid_bc(f: MarginalDensity, g: MarginalDensity) -> float:
-    xs = np.union1d(f.x, g.x)
-    mids = 0.5 * (xs[:-1] + xs[1:])
-    xs = np.union1d(xs, mids)
-    vals = np.sqrt(f.pdf_at(xs) * g.pdf_at(xs))
-    return float(np.trapezoid(vals, xs))
+def hellinger(f: MarginalDensity, g: MarginalDensity) -> float:
+    """Hellinger distance between two gridded densities, in [0, 1].
 
-
-def hellinger(f, g, support: tuple[float, float] | None = None) -> float:
-    """Hellinger distance between two densities, in [0, 1].
-
-    ``f`` and ``g`` may be :class:`MarginalDensity` objects (no support
-    needed) or nonnegative callables with a ``(lo, hi)`` support, possibly
-    infinite.  The Bhattacharyya overlap is integrated by trapezoid on the
-    union grid for gridded inputs and by adaptive quadrature otherwise.
+    The Bhattacharyya overlap is integrated by trapezoid on the union of the
+    two grids and the midpoints of its cells; each density is zero off its
+    own grid.
     """
-    gridded_f = isinstance(f, MarginalDensity)
-    gridded_g = isinstance(g, MarginalDensity)
-    if gridded_f and gridded_g:
-        bc = _merged_grid_bc(f, g)
-    else:
-        if gridded_f:
-            lo_f, hi_f = float(f.x[0]), float(f.x[-1])
-            f = f.pdf_at
-            support = support or (lo_f, hi_f)
-        if gridded_g:
-            lo_g, hi_g = float(g.x[0]), float(g.x[-1])
-            g = g.pdf_at
-            support = support or (lo_g, hi_g)
-        if support is None:
-            raise DomainError("callable densities need an explicit support")
-        lo, hi = support
-
-        def integrand(x):
-            return np.sqrt(max(float(f(x)), 0.0) * max(float(g(x)), 0.0))
-
-        bc, abserr = quad(integrand, lo, hi, limit=400)
-        if abserr > 1.0e-6 * max(1.0, abs(bc)):
-            raise DomainError(
-                f"Hellinger quadrature did not converge (error estimate {abserr:.2e})"
-            )
+    xs = np.union1d(f.x, g.x)
+    xs = np.union1d(xs, 0.5 * (xs[:-1] + xs[1:]))
+    bc = float(np.trapezoid(np.sqrt(f.pdf_at(xs) * g.pdf_at(xs)), xs))
     bc = min(max(bc, 0.0), 1.0)
     return float(np.sqrt(1.0 - bc))
 
@@ -126,8 +93,7 @@ def calibrate_prior(default: GammaShapeRate, target_h: float) -> GammaShapeRate:
     smaller-mean prior) until the closed-form distance matches ``target_h``
     within 1e-6.
     """
-    if not 0.0 < target_h < 1.0:
-        raise DomainError("target Hellinger distance must lie strictly in (0, 1)")
+    check_probability(target_h, "target Hellinger distance")
 
     def gap(rate: float) -> float:
         return gamma_hellinger_closed(default, GammaShapeRate(default.shape, rate)) - target_h
@@ -227,26 +193,29 @@ class SensitivityReport:
         return self._write(path, self.summary_table())
 
 
-def _scan_setup(spec: ModelSpec, priors: PriorSpec, param: str,
-                base_prior: GammaShapeRate | None):
-    if param == "phi":
-        base = base_prior or PHI_SCAN_DEFAULT
-        return base, "phi", lambda pr, g: replace(pr, phi=g)
-    if param == "tau":
-        if spec.q != 1:
-            raise DomainError(
-                "tau sensitivity scans need exactly one random-effect term"
-            )
-        base = base_prior or priors.require_raneff_gamma()
-        return base, "tau1_sq", lambda pr, g: replace(pr, raneff=g)
-    raise DomainError("scan parameter must be 'phi' or 'tau'")
+def _phi_scan(spec: ModelSpec, priors: PriorSpec, base_prior: GammaShapeRate | None):
+    return base_prior or PHI_SCAN_DEFAULT, "phi", lambda pr, g: replace(pr, phi=g)
+
+
+def _tau_scan(spec: ModelSpec, priors: PriorSpec, base_prior: GammaShapeRate | None):
+    if spec.q != 1:
+        raise DomainError("tau sensitivity scans need exactly one random-effect term")
+    base = base_prior or priors.require_raneff_gamma()
+    return base, "tau1_sq", lambda pr, g: replace(pr, raneff=g)
+
+
+#: the parameters a scan can shift, each with its set-up: (spec, priors,
+#: base prior or None) -> (base prior, posterior marginal compared, prior setter)
+SCANS = {"phi": _phi_scan, "tau": _tau_scan}
+#: the parameter a scan shifts unless told otherwise
+SCAN_PARAM = "phi"
 
 
 def sensitivity_scan(
     data: Dataset,
     spec: ModelSpec,
     priors: PriorSpec | None = None,
-    param: str = "phi",
+    param: str = SCAN_PARAM,
     targets: Sequence[float] = SCAN_TARGETS,
     base_prior: GammaShapeRate | None = None,
     options: LaplaceOptions | None = None,
@@ -270,8 +239,10 @@ def sensitivity_scan(
     if any(b <= a for a, b in zip(targets, targets[1:])):
         raise DomainError("targets must be strictly increasing")
 
+    if param not in SCANS:
+        raise DomainError("scan parameter must be " + " or ".join(map(repr, SCANS)))
     priors = default_priors(spec) if priors is None else priors
-    base, marginal_name, put = _scan_setup(spec, priors, param, base_prior)
+    base, marginal_name, put = SCANS[param](spec, priors, base_prior)
 
     options = options or LaplaceOptions()
     options = replace(options, compute_gof=False)

@@ -9,10 +9,11 @@ from importlib.resources import files
 import jsonschema
 import pytest
 
-from betamix import cli
+from betamix import cli, sensitivity
 from betamix.cli import main
 from betamix.config import write_rows_csv
 from betamix.likelihood import ProfileInterval
+from betamix.priors import ELICIT_COVERAGE
 from betamix.simulate import simulate_study
 
 SCHEMA = json.loads((files("betamix") / "schemas" / "summary.schema.json").read_text())
@@ -147,6 +148,8 @@ def test_elicit_writes_a_valid_summary(tmp_path):
     assert main(["elicit", "--range", "0.693", "--out-dir", str(tmp_path)]) == 0
     summary = _validated(tmp_path, "elicit")
     assert summary["result"]["rate"] > 0.0
+    # without --coverage the run takes the one default of the elicitation
+    assert summary["result"]["coverage"] == ELICIT_COVERAGE
 
 
 def _error_record(capsys) -> dict:
@@ -187,6 +190,12 @@ def test_summary_commands_are_the_parsers_subcommands():
     assert set(SCHEMA["properties"]["command"]["enum"]) == set(cli._HANDLERS) == set(sub.choices)
 
 
+def test_sensitivity_params_are_the_scan_table():
+    (sub,) = [a for a in cli._build_parser()._actions if a.dest == "command"]
+    (param,) = [a for a in sub.choices["sensitivity"]._actions if a.dest == "param"]
+    assert list(param.choices) == list(sensitivity.SCANS)
+
+
 def test_missing_data_file_is_a_json_error(tmp_path, capsys):
     code = main(["fit", "--data", str(tmp_path / "absent.csv"), "--out-dir", str(tmp_path)])
     assert code == 1
@@ -211,6 +220,14 @@ def test_level_outside_the_unit_interval_is_a_json_error(study_csv, tmp_path, ca
     err = _error_record(capsys)
     assert err["type"] == "DomainError" and "level" in err["message"]
     assert not (tmp_path / "ml_summary.json").exists()
+
+
+def test_coverage_outside_the_unit_interval_is_a_json_error(tmp_path, capsys):
+    code = main(["elicit", "--range", "0.693", "--coverage", "1.5", "--out-dir", str(tmp_path)])
+    assert code == 1
+    err = _error_record(capsys)
+    assert err["type"] == "DomainError" and "coverage" in err["message"]
+    assert not (tmp_path / "elicit_summary.json").exists()
 
 
 def test_level_is_checked_before_the_data_and_the_fit(tmp_path, capsys, monkeypatch):

@@ -245,7 +245,7 @@ def test_failed_design_point_is_logged_and_the_grid_integrates(monkeypatch, capl
 
         return lay(many, *args)
 
-    def first_design_point_unsolved(ctx, thetas, x0=None):
+    def first_design_point_unsolved(ctx, thetas, x0):
         hit = np.array([tuple(t) in failing for t in thetas])
         if hit.all():
             raise model.ModeConvergenceError("forced")
@@ -379,7 +379,7 @@ def test_conditional_mode_matches_generic_optimizer():
     study = simulate_study(seed=4, n_groups=5, n_total=50)
     ctx = ModelContext(study.data, study.spec, default_priors(study.spec))
     theta = HyperPoint.from_natural(90.0, 40.0)
-    res = find_conditional_mode(ctx, theta.as_array()[None])
+    res = find_conditional_mode(ctx, theta.as_array()[None], np.zeros((1, ctx.n_latent)))
     assert res.found[0] and res.grad_norm[0] < 1e-7
 
     dim = res.x.shape[1]
@@ -406,11 +406,12 @@ def test_batched_modes_match_per_point_modes(random):
     ctx = ModelContext(study.data, study.spec, default_priors(study.spec))
     start = moment_start(ctx.y, ctx.q).as_array()
     thetas = start + np.linspace(-1.0, 1.0, 5)[:, None] * np.linspace(0.5, 1.0, start.size)
-    first = find_conditional_mode(ctx, thetas[:1])
+    origin = np.zeros((1, ctx.n_latent))
+    first = find_conditional_mode(ctx, thetas[:1], origin)
     batch = find_conditional_mode(ctx, thetas, np.tile(first.x[0], (len(thetas), 1)))
     assert batch.found.all()
     for i, theta in enumerate(thetas):
-        one = find_conditional_mode(ctx, theta[None])
+        one = find_conditional_mode(ctx, theta[None], origin)
         tol = 2e-6 * np.sqrt(1.0 + abs(one.logpost[0]))
         np.testing.assert_allclose(batch.x[i], one.x[0], rtol=0.0, atol=tol)
         assert batch.laplace[i] == pytest.approx(one.laplace[0], rel=0.0, abs=tol)
@@ -429,7 +430,7 @@ def test_point_its_chunk_does_not_find_takes_the_per_point_path(monkeypatch):
     solve = laplace.find_conditional_mode
     dropped, single = set(), []
 
-    def every_other_block_unfound(ctx, thetas, x0=None):
+    def every_other_block_unfound(ctx, thetas, x0):
         res = solve(ctx, thetas, x0)
         if len(thetas) > 8:
             res.found[::2] = False
@@ -452,7 +453,7 @@ def _multi_point(thetas, x0):
 
 
 def _off_origin(thetas, x0):
-    return x0 is not None and bool(np.any(x0))
+    return bool(np.any(x0))
 
 
 def _always(thetas, x0):
@@ -476,7 +477,7 @@ def test_objective_falls_back_point_by_point(monkeypatch, fails):
     points = np.vstack([anchor, anchor + steps, beyond])
     solve, solved = laplace.find_conditional_mode, []
 
-    def failing(ctx, thetas, x0=None):
+    def failing(ctx, thetas, x0):
         solved.extend(map(tuple, thetas))
         if fails(thetas, x0):
             raise model.ModeConvergenceError("forced")
@@ -491,7 +492,8 @@ def test_objective_falls_back_point_by_point(monkeypatch, fails):
         expected = [laplace._ThetaObjective(ctx).many(np.vstack([anchor, theta]))[1]
                     for theta in points[:-1]]
     else:
-        expected = [solve(ctx, theta[None]).laplace[0] for theta in points[:-1]]
+        origin = np.zeros((1, ctx.n_latent))
+        expected = [solve(ctx, theta[None], origin).laplace[0] for theta in points[:-1]]
     if fails is not _always:
         expected.append(model.out_of_support(beyond[0]))
     np.testing.assert_array_equal(got, expected)
@@ -507,7 +509,7 @@ def test_fit_marginal_names_and_summary(default_fit):
         row = s[name]
         assert row["sd"] > 0.0
         assert row["q0.025"] < row["mean"] < row["q0.975"]
-    lo, hi = default_fit.interval("phi")
+    lo, hi = default_fit.marginal("phi").equal_tail_interval()
     assert lo < default_fit.posterior_mean("phi") < hi
 
 
@@ -639,7 +641,7 @@ def test_link_ladder_fits(link):
     assert fit.spec.link == link
     mu_scale = fit.posterior_mean("beta_intercept")
     assert np.isfinite(mu_scale)
-    lo, hi = fit.interval("tau1_sq")
+    lo, hi = fit.marginal("tau1_sq").equal_tail_interval()
     assert 0.0 < lo < hi
 
 
@@ -650,14 +652,14 @@ def test_random_slope_fit_has_correlation_marginals():
         assert name in fit.param_names
         m = fit.marginal(name)
         assert np.all(np.isfinite(m.pdf))
-    lo, hi = fit.interval("rho_corr")
+    lo, hi = fit.marginal("rho_corr").equal_tail_interval()
     assert -1.0 <= lo < hi <= 1.0
 
 
 def test_interval_mass_is_nominal(default_fit):
     for name in PARAMS:
-        lo, hi = default_fit.interval(name, 0.95)
         m = default_fit.marginal(name)
+        lo, hi = m.equal_tail_interval(0.95)
         assert m.cdf(hi) - m.cdf(lo) == pytest.approx(0.95, abs=1e-9)
 
 

@@ -256,11 +256,3 @@ def test_ml_fit_invariant_to_row_order(small_study, small_ml, rng):
     assert fit2.loglik == pytest.approx(small_ml.loglik, abs=1e-9)
     for name in small_ml.names:
         assert fit2.estimate(name) == pytest.approx(small_ml.estimate(name), rel=1e-8)
-
-
-def test_summary_table_shape(small_ml):
-    s = small_ml.summary()
-    assert set(("beta_intercept", "phi", "tau1_sq")) <= set(s)
-    row = s["beta_income"]
-    assert row["se"] > 0.0
-    assert row["estimate"] == pytest.approx(small_ml.estimate("beta_income"))

@@ -132,7 +132,7 @@ def test_cpo_is_pure_and_row_ordered(ladder_fits, signal_study):
     a = cpo(fit)
     b = cpo(replace(fit, _gof_pass=None))
     np.testing.assert_array_equal(a.values, b.values)
-    assert a.n_obs == signal_study.data.n
+    assert a.values.size == signal_study.data.n
     assert np.all(a.values > 0.0)
     np.testing.assert_allclose(np.log(a.values), a.log_values, rtol=1e-12)
     assert a.mean_log == pytest.approx(float(np.mean(a.log_values)), rel=1e-12)

@@ -1,7 +1,7 @@
-"""Source rules for the package: no ``scipy.stats`` on its import path
-(importing it slows ``import betamix``, and the quantile functions of
-``scipy.special`` are all the package needs) and lines of at most 100
-columns."""
+"""Source rules for the package: neither ``scipy.stats`` nor
+``scipy.integrate`` on its import path (each slows ``import betamix``; the
+quantile functions of ``scipy.special`` and trapezoid sums on grids are all
+the package needs) and lines of at most 100 columns."""
 
 import ast
 from pathlib import Path
@@ -13,12 +13,8 @@ MODULES = sorted(PACKAGE.rglob("*.py"))
 MAX_COLUMNS = 100
 
 
-def test_modules_are_found():
-    assert PACKAGE / "priors.py" in MODULES
-
-
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_module_does_not_import_scipy_stats(path):
+def _import_lines(path: Path, package: str) -> list[int]:
+    """Lines of ``path`` that import ``package`` or one of its modules."""
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = []
     for node in ast.walk(tree):
@@ -29,9 +25,25 @@ def test_module_does_not_import_scipy_stats(path):
             names.append(node.module or "")
         else:
             continue
-        if any(n == "scipy.stats" or n.startswith("scipy.stats.") for n in names):
+        if any(n == package or n.startswith(package + ".") for n in names):
             lines.append(node.lineno)
+    return lines
+
+
+def test_modules_are_found():
+    assert PACKAGE / "priors.py" in MODULES
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_does_not_import_scipy_stats(path):
+    lines = _import_lines(path, "scipy.stats")
     assert not lines, f"{path.name} imports scipy.stats on lines {lines}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_does_not_import_scipy_integrate(path):
+    lines = _import_lines(path, "scipy.integrate")
+    assert not lines, f"{path.name} imports scipy.integrate on lines {lines}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
