@@ -23,4 +23,3 @@ def test_failed_write_of_a_new_file_leaves_nothing(tmp_path):
             fh.write("partial")
             raise RuntimeError("stop")
     assert list(tmp_path.iterdir()) == []
-
