@@ -400,7 +400,7 @@ def profile_interval(fit: MLFit, param: str | int,
     warm = fit.vector[others]
     # every inner search starts from the nuisance block's curvature at the
     # optimum: the Schur complement of coordinate j in the covariance
-    vcov = 0.5 * (fit.vcov_unconstrained + fit.vcov_unconstrained.T)
+    vcov = fit.vcov_unconstrained
     inv_curv = (vcov[np.ix_(others, others)]
                 - np.outer(vcov[others, j], vcov[j, others]) / vcov[j, j])
 

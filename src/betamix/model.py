@@ -646,7 +646,8 @@ def fd_curvature(many: Callable[[np.ndarray], np.ndarray],
     Steps are capped at 0.5, so a flat direction cannot push a probe into a
     penalty region, and floored at 1e-4.  Eigenvalues are floored at 1e-8
     times the largest, so the curvature is usable on flat directions too.
-    Returns the floored negative Hessian and its inverse.
+    Returns the floored negative Hessian and its inverse, symmetrized
+    exactly so that it can seed :func:`maximize`.
     """
     x = np.asarray(x, dtype=float)
 
@@ -659,7 +660,8 @@ def fd_curvature(many: Callable[[np.ndarray], np.ndarray],
 
     curv = floored(np.minimum(0.05 * (1.0 + np.abs(x)), 0.5))
     curv = floored(np.clip(0.1 * np.sqrt(np.diag(np.linalg.inv(curv))), 1e-4, 0.5))
-    return curv, np.linalg.inv(curv)
+    cov = np.linalg.inv(curv)
+    return curv, 0.5 * (cov + cov.T)
 
 
 #: iteration budget of :func:`maximize`

@@ -1,10 +1,15 @@
 """Gridded densities: exact summaries, transforms, kernel estimates."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from betamix.density import MarginalDensity, kde_density
+from betamix.density import MARGINAL_POINTS, MarginalDensity, kde_density
+from betamix.laplace import LaplaceOptions, fit_laplace
+from betamix.model import covariance_rho
+from betamix.simulate import simulate_study
 
 
 def _gridded_normal(mu=0.0, sd=1.0, n=801, span=8.0):
@@ -113,3 +118,76 @@ def test_kde_log_scale_rejects_nonpositive():
         kde_density(np.array([0.5, 0.0, 2.0]), log_scale=True)
     with pytest.raises(ValueError):
         kde_density(np.array([0.5, -1.0, 2.0]), log_scale=True)
+
+
+# -- the binned estimator against the exact kernel sum ---------------------------
+
+
+def _exact_kde(values, weights=None, log_scale=False):
+    """The exact Gaussian kernel sum on ``kde_density``'s abscissae and
+    bandwidth rule: the reference the binned estimate is held to."""
+    values = np.asarray(values, dtype=float)
+    if log_scale:
+        return _exact_kde(np.log(values), weights).map_monotone(np.exp)
+    w = np.full(values.size, 1.0 / values.size) if weights is None else weights / np.sum(weights)
+    mean = np.sum(w * values)
+    sd = np.sqrt(np.sum(w * (values - mean) ** 2))
+    h = 1.06 * sd * max(1.0 / np.sum(w * w), 2.0) ** (-0.2)
+    xs = np.linspace(values.min() - 4.0 * h, values.max() + 4.0 * h, MARGINAL_POINTS)
+    pdf = np.array([np.sum(w * np.exp(-0.5 * ((x - values) / h) ** 2)) for x in xs])
+    return MarginalDensity(xs, pdf)
+
+
+def _assert_near_exact(got, ref):
+    """Tolerances fixed before the binned estimator was written: the largest
+    pointwise gap 2e-4 of the peak, the mean within 1e-4 SD and the SD
+    within a relative 2e-4; the abscissae are the exact estimate's."""
+    np.testing.assert_allclose(got.x, ref.x, rtol=1e-12, atol=1e-12)
+    assert np.max(np.abs(got.pdf - ref.pdf)) <= 2e-4 * np.max(ref.pdf)
+    assert abs(got.mean() - ref.mean()) <= 1e-4 * ref.sd()
+    assert abs(got.sd() / ref.sd() - 1.0) <= 2e-4
+
+
+def test_kde_matches_the_exact_kernel_sum_on_a_gaussian_sample(rng):
+    draws = rng.normal(1.5, 0.7, size=4000)
+    _assert_near_exact(kde_density(draws), _exact_kde(draws))
+
+
+def test_kde_matches_the_exact_kernel_sum_on_a_weighted_sample(rng):
+    draws = rng.normal(-2.0, 3.0, size=4000)
+    w = rng.gamma(2.0, size=4000)
+    _assert_near_exact(kde_density(draws, weights=w), _exact_kde(draws, w))
+
+
+def test_kde_matches_the_exact_kernel_sum_on_the_log_scale(rng):
+    draws = rng.lognormal(3.0, 0.5, size=4000)
+    _assert_near_exact(kde_density(draws, log_scale=True), _exact_kde(draws, log_scale=True))
+
+
+@pytest.fixture(scope="module")
+def design_draws():
+    """The asymmetric-Gaussian draws of one seeded q = 2 design, with the
+    derived ``rho`` of each draw as a last column."""
+    study = simulate_study(seed=2, random="intercept+slope")
+    grid = fit_laplace(study.data, study.spec,
+                       options=LaplaceOptions(compute_gof=False)).theta_grid
+    assert grid.integration == "ccd"
+    draws = grid.hyper_draws
+    return np.column_stack([draws, covariance_rho(draws[:, 1:])])
+
+
+@pytest.mark.parametrize("j", range(5), ids=["phi", "tau1_sq", "tau2_sq", "rho_corr", "rho"])
+def test_kde_matches_the_exact_kernel_sum_on_design_draws(design_draws, j):
+    _assert_near_exact(kde_density(design_draws[:, j]), _exact_kde(design_draws[:, j]))
+
+
+def test_kde_memory_is_linear_in_the_draws(rng):
+    """An n x grid kernel matrix would take 47 MB at its peak here."""
+    draws = rng.normal(size=200_000)
+    tracemalloc.start()
+    try:
+        kde_density(draws)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

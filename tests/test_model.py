@@ -485,6 +485,21 @@ def test_fd_curvature_makes_two_stencil_calls_and_recovers_a_quadratic():
     np.testing.assert_allclose(cov, np.linalg.inv(_A), rtol=1e-6)
 
 
+def test_fd_curvature_covariance_is_symmetric_and_seeds_maximize():
+    """SciPy's BFGS takes ``hess_inv0`` only when it is exactly symmetric;
+    a plain matrix inverse missed that on 20 of 20 of these quadratics."""
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        root = rng.normal(size=(4, 4))
+        a, top = root @ root.T + 4.0 * np.eye(4), rng.normal(size=4)
+        many = _each(lambda x: -0.5 * (x - top) @ a @ (x - top))
+        _, cov = model.fd_curvature(many, top)
+        np.testing.assert_array_equal(cov, cov.T)
+        best = maximize(many, np.zeros(4), inv_curv=cov)
+        assert best.converged, best.message
+        np.testing.assert_allclose(best.x, top, atol=1e-4)
+
+
 def test_ml_fit_does_not_stop_short():
     """A gradient test passed at a loose tolerance once declared this fit
     converged 0.0024 below its maximum."""
