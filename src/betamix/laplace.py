@@ -506,7 +506,9 @@ def marginal_hyper(grid: ThetaGrid, j: int) -> MarginalDensity:
 
     On a grid, collapses the weights along the other axes and interpolates
     the log weights with a natural cubic spline on the unconstrained scale;
-    on a design, smooths the asymmetric-Gaussian draws with ``kde_density``.
+    on a design, smooths the ``SKEW_DRAWS`` asymmetric-Gaussian draws on the
+    unconstrained scale with ``kde_density``, a binned kernel estimate (see
+    there for its measured gap to the exact kernel sum).
     Either density is back-transformed with the Jacobian of the axis
     transform.
     """

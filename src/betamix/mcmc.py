@@ -521,7 +521,11 @@ class ChainOutput:
 
     def kde(self, name: str) -> MarginalDensity:
         """Pooled-chain kernel density estimate for one parameter, on
-        ``density.MARGINAL_POINTS`` abscissae.
+        ``density.MARGINAL_POINTS`` abscissae: ``kde_density`` with the
+        bandwidth set by the pooled effective sample size.  That estimate
+        is binned, so its memory grows with the draws plus the grid and a
+        long chain builds no draws x grid matrix; its gap to the exact
+        kernel sum is measured there.
 
         The positive hyperparameters (dispersion and random-effect
         precisions) get the log-scale kernel, since a plain Gaussian kernel
