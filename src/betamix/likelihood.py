@@ -21,7 +21,8 @@ model core.
 
 ``ml_fit`` maximizes the marginal log likelihood over the unconstrained
 vector (fixed effects, log phi, log tau, and atanh rho when present) by BFGS
-on a central-difference gradient (``model.maximize``) and reports
+on a central-difference gradient (``model.maximize``, which stops once its
+BFGS model promises a gain below ``model.PROMISED_GAIN``) and reports
 natural-scale estimates with delta-method standard errors: the observed
 information is the two-stage finite-difference curvature
 ``model.fd_curvature``, and the derivatives of the transforms come from
@@ -29,15 +30,18 @@ information is the two-stage finite-difference curvature
 
 ``profile_interval`` inverts the likelihood ratio statistic: it profiles the
 log likelihood along one coordinate, re-optimizing the nuisance parameters
-at every probe, brackets the points where the profile has dropped by half the chi-square
-(1 df) quantile at ``level`` below the maximum, and polishes the crossing with
-Brent's method.  The bracketing and root finding live in
+at every probe by the same search, brackets the points where the profile
+has dropped by half the chi-square (1 df) quantile at ``level`` below the
+maximum, and polishes the crossing with Brent's method.  Its group modes
+start from those at the optimum, so no interval depends on the calls made
+on the fit before it.  The bracketing and root finding live in
 ``profile_bounds``, which only sees a one dimensional callable and is
 therefore easy to validate on problems with known answers.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -79,6 +83,8 @@ __all__ = [
     "profile_bounds",
     "profile_interval",
 ]
+
+logger = logging.getLogger("betamix")
 
 #: profile probes: the first step as a fraction of the scale, and the budget
 _PROBE_FRAC = 0.2
@@ -228,7 +234,8 @@ class MLFit:
 
     ``params`` and ``se`` are on the natural scale (delta method);
     ``vector`` and ``se_unconstrained`` describe the same optimum in the
-    unconstrained coordinates the optimizer worked in.
+    unconstrained coordinates the optimizer worked in.  ``_modes`` are the
+    group modes at the optimum, from which every profile starts.
     """
 
     params: np.ndarray
@@ -247,6 +254,7 @@ class MLFit:
     n_eval: int
     message: str = ""
     _lik: _MarginalLoglik | None = field(default=None, repr=False)
+    _modes: np.ndarray | None = field(default=None, repr=False)
 
     def index(self, param: str | int) -> int:
         if isinstance(param, str):
@@ -289,6 +297,7 @@ def ml_fit(data: Dataset, spec: ModelSpec) -> MLFit:
     best = maximize(lik, np.concatenate([beta0, moment_start(data.y, spec.q).as_array()]))
     vhat, loglik = best.x, best.value
 
+    # the curvature's stencils are centred on vhat, so the warm modes end there
     _, vcov = fd_curvature(lik, vhat)
     se_u = np.sqrt(np.diag(vcov))
 
@@ -314,6 +323,7 @@ def ml_fit(data: Dataset, spec: ModelSpec) -> MLFit:
         n_eval=lik.n_points,
         message=best.message,
         _lik=lik,
+        _modes=lik._warm,
     )
 
 
@@ -381,16 +391,22 @@ def profile_interval(fit: MLFit, param: str | int,
                      level: float = INTERVAL_LEVEL) -> ProfileInterval:
     """Profile likelihood interval for one parameter of an ``ml_fit`` result.
 
-    The nuisance parameters are re-optimized at every probe point, warm
-    started from the previous solution and from the nuisance curvature at
-    the optimum; endpoints are transformed back to the natural scale, so an
-    unbounded side comes out as 0 or +/-inf as the transform dictates.
+    The nuisance parameters are re-optimized at every probe point by
+    ``model.maximize``, warm started from the previous solution and from the
+    nuisance curvature at the optimum; each search stops once its BFGS model
+    promises a gain below ``model.PROMISED_GAIN``.  The group modes start
+    from those at the optimum, so an interval does not depend on the calls
+    made on the fit before it.  Probe searches that end unconverged are
+    counted in one ``WARNING`` on the ``betamix`` logger.  Endpoints are
+    transformed back to the natural scale, so an unbounded side comes out as
+    0 or +/-inf as the transform dictates.
     """
     if fit._lik is None:
         raise DomainError("this MLFit does not carry its likelihood evaluator")
     check_probability(level, "level")
     j = fit.index(param)
     lik = fit._lik
+    lik._warm = fit._modes
     drop = float(chdtri(1, 1.0 - level)) / 2.0
     se_j = float(fit.se_unconstrained[j])
     if not np.isfinite(se_j) or se_j <= 0.0:
@@ -403,19 +419,24 @@ def profile_interval(fit: MLFit, param: str | int,
     vcov = fit.vcov_unconstrained
     inv_curv = (vcov[np.ix_(others, others)]
                 - np.outer(vcov[others, j], vcov[j, others]) / vcov[j, j])
+    unconverged = 0
 
     def profiled(u: float) -> float:
-        nonlocal warm
+        nonlocal warm, unconverged
         best = maximize(lambda w: lik(np.insert(w, j, u, axis=1)), warm, inv_curv=inv_curv)
+        unconverged += not best.converged
         if best.value > 0.5 * out_of_support(()):
             warm = best.x
         return best.value
 
     points_before = lik.n_points
-    lo_u, hi_u, _ = profile_bounds(
+    lo_u, hi_u, n_probes = profile_bounds(
         profiled, float(fit.vector[j]), fit.loglik, se_j, drop,
         t_max=COORD_CAP - 5.0 - abs(float(fit.vector[j])),
     )
+    if unconverged:
+        logger.warning("profile of %s: %d of %d probe searches did not converge",
+                       fit.names[j], unconverged, n_probes)
     # an open side is -inf or +inf here, which the transform maps to its limit
     t = fit.transforms[j]
     lower, upper = natural_scale(lo_u, t), natural_scale(hi_u, t)

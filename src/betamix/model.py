@@ -664,8 +664,11 @@ def fd_curvature(many: Callable[[np.ndarray], np.ndarray],
     return curv, 0.5 * (cov + cov.T)
 
 
-#: iteration budget of :func:`maximize`
+#: :func:`maximize`: iteration budget; the gain under its BFGS model below
+#: which the search stops; the gain below which its end counts as converged
 MAXIMIZE_ITER = 500
+PROMISED_GAIN = 1e-7
+CONVERGED_GAIN = 1e-6
 
 
 class Maximum(NamedTuple):
@@ -676,6 +679,24 @@ class Maximum(NamedTuple):
     value: float
     converged: bool
     message: str
+
+
+def _promised_gain(h_inv: np.ndarray, grad: np.ndarray) -> float:
+    """``g' H g / 2``, the gain the quadratic model with inverse Hessian ``H``
+    promises; infinite where ``H`` is not positive definite."""
+    if not np.all(np.linalg.eigvalsh(h_inv) > 0.0):
+        return np.inf
+    return 0.5 * float(grad @ h_inv @ grad)
+
+
+def _bfgs_update(h_inv: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SciPy's BFGS update of the inverse Hessian from the step ``s`` and the
+    gradient change ``y``, its guard against ``y's = 0`` included."""
+    sy = float(y @ s)
+    rho = 1000.0 if sy == 0.0 else 1.0 / sy
+    eye = np.eye(s.size)
+    return ((eye - rho * np.outer(s, y)) @ h_inv @ (eye - rho * np.outer(y, s))
+            + rho * np.outer(s, s))
 
 
 def maximize(many: Callable[[np.ndarray], np.ndarray], x0: np.ndarray,
@@ -692,30 +713,65 @@ def maximize(many: Callable[[np.ndarray], np.ndarray], x0: np.ndarray,
     gradient divides by the step as represented, ``(x + h) - (x - h)``.
     ``inv_curv``, when known, seeds the inverse-Hessian estimate.
 
-    Converged means the largest gradient component fell below 1e-3, or the
-    line search could make no further progress where the BFGS quadratic
-    model is positive definite and promises a gain below 1e-6
-    (``g' H^-1 g / 2``: the gradient test then fails on difference noise
-    alone).  Running out of ``MAXIMIZE_ITER``
-    iterations, or a stall with more to gain, reads ``False``.
+    The search stops once its BFGS quadratic model is positive definite and
+    promises a gain ``g' H g / 2`` below ``PROMISED_GAIN`` (Nocedal & Wright
+    2006, ch. 6), tested at the start and after every iteration.  ``H`` is
+    SciPy's estimate, kept alongside by the same update from each accepted
+    step, and ``g`` the gradient of the stencil already evaluated there.  On
+    a steep coordinate the search is that close to the maximum long before
+    SciPy's own test (largest gradient component below 1e-3) can pass, and
+    the line search would otherwise run on difference noise until it fails.
+
+    Converged means, wherever the search ended, the largest gradient
+    component is below 1e-3 or the positive-definite model promises a gain
+    below ``CONVERGED_GAIN``; so running out of ``MAXIMIZE_ITER`` iterations,
+    or a stalled line search, with more to gain reads ``False``.
     """
-    def negated(x: np.ndarray) -> tuple[float, np.ndarray]:
+    x0 = np.asarray(x0, dtype=float)
+    seen: dict[bytes, tuple[float, np.ndarray]] = {}  # negated stencils by point
+
+    def stencil(x: np.ndarray) -> tuple[float, np.ndarray]:
         m = x.size
         h = 1.0e-3 * np.maximum(1.0, np.abs(x))
         steps = np.diag(h)
         f = np.asarray(many(np.vstack([x, x + steps, x - steps])), dtype=float)
         grad = (f[1 : m + 1] - f[m + 1 :]) / ((x + h) - (x - h))
-        return -float(f[0]), -grad
+        seen[x.tobytes()] = out = (-float(f[0]), -grad)
+        return out
 
+    # SciPy's first evaluation is at x0: it takes the one the start test made
+    start = [stencil(x0)]
+
+    def negated(x: np.ndarray) -> tuple[float, np.ndarray]:
+        if start and np.array_equal(x, x0):
+            return start.pop()
+        return stencil(x)
+
+    h_inv = np.eye(x0.size) if inv_curv is None else np.asarray(inv_curv, dtype=float)
+    x_k, g_k = x0, start[0][1]
+    gain = _promised_gain(h_inv, g_k)
+
+    def stop_when_flat(intermediate_result) -> None:
+        nonlocal h_inv, x_k, g_k, gain
+        x = intermediate_result.x
+        g = seen[x.tobytes()][1]
+        h_inv = _bfgs_update(h_inv, x - x_k, g - g_k)
+        x_k, g_k, gain = x, g, _promised_gain(h_inv, g)
+        if gain < PROMISED_GAIN:
+            raise StopIteration
+
+    flat_start = gain < PROMISED_GAIN
     res = minimize(
-        negated, np.asarray(x0, dtype=float), method="BFGS", jac=True,
-        options={"gtol": 1.0e-3, "maxiter": MAXIMIZE_ITER, "hess_inv0": inv_curv},
+        negated, x0, method="BFGS", jac=True, callback=stop_when_flat,
+        # a start that already meets the rule runs no iteration
+        options={"gtol": 1.0e-3, "maxiter": 0 if flat_start else MAXIMIZE_ITER,
+                 "hess_inv0": inv_curv},
     )
-    # a stall counts as converged only under a positive-definite quadratic model
-    stalled_flat = (res.status == 2 and bool(np.all(np.linalg.eigvalsh(res.hess_inv) > 0.0))
-                    and 0.5 * float(res.jac @ res.hess_inv @ res.jac) < 1.0e-6)
+    stopped = flat_start or res.status == 99
+    message = (f"the BFGS model promises a gain below {PROMISED_GAIN:g}" if stopped
+               else str(res.message))
     return Maximum(np.asarray(res.x, dtype=float), -float(res.fun),
-                   bool(res.success or stalled_flat), str(res.message))
+                   bool(res.success or gain < CONVERGED_GAIN), message)
 
 
 #: :func:`newton_ascent`: gradient max-norm tolerance, iteration budget, step

@@ -1,9 +1,12 @@
 """Maximum likelihood and profile intervals against direct oracles."""
 
+import logging
+
 import numpy as np
 import pytest
 from scipy import integrate, optimize
 
+from betamix import likelihood, model
 from betamix.distributions import DomainError, beta_logpdf_arrays
 from betamix.likelihood import _MarginalLoglik, marginal_loglik, ml_fit, profile_interval
 from betamix.model import COORD_CAP, Dataset, HyperPoint, build_design, moment_start, out_of_support
@@ -244,6 +247,51 @@ def test_profile_positive_parameters_stay_positive(small_ml):
     for name in ("phi", "tau1_sq"):
         pi = profile_interval(small_ml, name, 0.95)
         assert 0.0 < pi.lower < small_ml.estimate(name) < pi.upper
+
+
+def _recorded_searches(monkeypatch) -> list:
+    """Every ``maximize`` result of the likelihood engine from here on."""
+    results, inner = [], likelihood.maximize
+
+    def recording(*args, **kwargs):
+        results.append(inner(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(likelihood, "maximize", recording)
+    return results
+
+
+def test_profile_searches_do_not_stall(small_ml, monkeypatch):
+    """A probe search stops once its BFGS model promises almost nothing; it
+    used to run the line search on inner-solve noise until SciPy gave up
+    ("precision loss"), on 3 of the 31 searches of this profile."""
+    searches = _recorded_searches(monkeypatch)
+    profile_interval(small_ml, "phi")
+    assert searches
+    assert [s.message for s in searches if "precision loss" in s.message] == []
+
+
+def test_profile_does_not_depend_on_earlier_profiles(small_study):
+    """Every profile starts from the group modes at the optimum; the modes
+    left by an earlier profile once moved the next one's ends."""
+    fit = ml_fit(small_study.data, small_study.spec)
+    fresh = profile_interval(fit, "phi")
+    profile_interval(fit, "tau1_sq")
+    assert profile_interval(fit, "phi") == fresh
+
+
+def test_unconverged_probe_searches_are_logged(small_ml, monkeypatch, caplog):
+    caplog.set_level(logging.WARNING, logger="betamix")
+    profile_interval(small_ml, "phi")
+    assert [r for r in caplog.records if r.name == "betamix"] == []
+    monkeypatch.setattr(model, "MAXIMIZE_ITER", 1)
+    searches = _recorded_searches(monkeypatch)
+    profile_interval(small_ml, "phi")
+    (record,) = [r for r in caplog.records if r.name == "betamix"]
+    unconverged = sum(not s.converged for s in searches)
+    assert record.levelno == logging.WARNING and unconverged > 0
+    assert record.getMessage() == (f"profile of phi: {unconverged} of {len(searches)} "
+                                   "probe searches did not converge")
 
 
 def test_ml_fit_invariant_to_row_order(small_study, small_ml, rng):
