@@ -22,7 +22,8 @@ model core.
 ``ml_fit`` maximizes the marginal log likelihood over the unconstrained
 vector (fixed effects, log phi, log tau, and atanh rho when present) by BFGS
 on a central-difference gradient (``model.maximize``, which stops once its
-BFGS model promises a gain below ``model.PROMISED_GAIN``) and reports
+BFGS model and its stencil's diagonal curvature both promise a gain below
+``model.PROMISED_GAIN``) and reports
 natural-scale estimates with delta-method standard errors: the observed
 information is the two-stage finite-difference curvature
 ``model.fd_curvature``, and the derivatives of the transforms come from
@@ -394,7 +395,8 @@ def profile_interval(fit: MLFit, param: str | int,
     The nuisance parameters are re-optimized at every probe point by
     ``model.maximize``, warm started from the previous solution and from the
     nuisance curvature at the optimum; each search stops once its BFGS model
-    promises a gain below ``model.PROMISED_GAIN``.  The group modes start
+    and its stencil's diagonal curvature both promise a gain below
+    ``model.PROMISED_GAIN``.  The group modes start
     from those at the optimum, so an interval does not depend on the calls
     made on the fit before it.  Probe searches that end unconverged are
     counted in one ``WARNING`` on the ``betamix`` logger.  Endpoints are

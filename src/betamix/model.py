@@ -621,14 +621,27 @@ def fd_hessian(many: Callable[[np.ndarray], np.ndarray], x0: np.ndarray,
 
     One call of ``many`` on the 1 + 2 m^2 probe rows: the centre ``x0``
     first, then ``x0 + h_i e_i`` and ``x0 - h_i e_i`` for every axis, then
-    the four corners ``x0 +- h_i e_i +- h_j e_j`` of every pair i < j.
+    the four corners ``x0 +- h_i e_i +- h_j e_j`` of every pair i < j.  At a
+    boundary fit a probe can fall outside the support, and differencing its
+    value (:func:`out_of_support`) would swamp the Hessian; the steps of the
+    axes such a probe moves along are then halved and the stencil evaluated
+    again, until every probe is inside or those steps are below 1e-8.
     """
     m = x0.size
-    steps = np.diag(h)
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    corners = [x0 + si * steps[i] + sj * steps[j]
-               for i, j in pairs for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
-    f = np.asarray(many(np.vstack([x0, x0 + steps, x0 - steps, *corners])), dtype=float)
+    # the axes each probe row moves along
+    moves = [(), *[(i,) for i in range(m)] * 2, *[p for p in pairs for _ in range(4)]]
+    h = np.array(h, dtype=float)
+    while True:
+        steps = np.diag(h)
+        corners = [x0 + si * steps[i] + sj * steps[j]
+                   for i, j in pairs for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
+        f = np.asarray(many(np.vstack([x0, x0 + steps, x0 - steps, *corners])), dtype=float)
+        outside = sorted({a for r in np.flatnonzero(f < 0.5 * out_of_support(()))
+                          for a in moves[r]})
+        if not outside or h[outside].min() < 1e-8:
+            break
+        h[outside] *= 0.5
     f0, f_up, f_down = f[0], f[1 : m + 1], f[m + 1 : 2 * m + 1]
     hess = np.diag((f_up - 2.0 * f0 + f_down) / (h * h))
     for (i, j), (pp, pm, mp, mm) in zip(pairs, f[2 * m + 1 :].reshape(-1, 4)):
@@ -642,7 +655,8 @@ def fd_curvature(many: Callable[[np.ndarray], np.ndarray],
 
     A crude pass with steps ``0.05 (1 + |x_i|)`` sets the per-axis scales; a
     second pass with steps of a tenth of those standard deviations refines.
-    Each pass is one call of the batch evaluator ``many`` (:func:`fd_hessian`).
+    Each pass is one call of the batch evaluator ``many`` (:func:`fd_hessian`),
+    or more where a probe falls outside the support.
     Steps are capped at 0.5, so a flat direction cannot push a probe into a
     penalty region, and floored at 1e-4.  Eigenvalues are floored at 1e-8
     times the largest, so the curvature is usable on flat directions too.
@@ -689,6 +703,14 @@ def _promised_gain(h_inv: np.ndarray, grad: np.ndarray) -> float:
     return 0.5 * float(grad @ h_inv @ grad)
 
 
+def _diagonal_gain(grad: np.ndarray, curv: np.ndarray) -> float:
+    """``sum g_i^2 / (2 c_i)``, the gain the quadratic model with diagonal
+    curvatures ``c`` promises; infinite unless every ``c_i`` is positive."""
+    if not np.all(curv > 0.0):
+        return np.inf
+    return 0.5 * float(np.sum(grad * grad / curv))
+
+
 def _bfgs_update(h_inv: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
     """SciPy's BFGS update of the inverse Hessian from the step ``s`` and the
     gradient change ``y``, its guard against ``y's = 0`` included."""
@@ -713,65 +735,71 @@ def maximize(many: Callable[[np.ndarray], np.ndarray], x0: np.ndarray,
     gradient divides by the step as represented, ``(x + h) - (x - h)``.
     ``inv_curv``, when known, seeds the inverse-Hessian estimate.
 
-    The search stops once its BFGS quadratic model is positive definite and
-    promises a gain ``g' H g / 2`` below ``PROMISED_GAIN`` (Nocedal & Wright
-    2006, ch. 6), tested at the start and after every iteration.  ``H`` is
-    SciPy's estimate, kept alongside by the same update from each accepted
-    step, and ``g`` the gradient of the stencil already evaluated there.  On
-    a steep coordinate the search is that close to the maximum long before
-    SciPy's own test (largest gradient component below 1e-3) can pass, and
-    the line search would otherwise run on difference noise until it fails.
+    The search stops once two quadratic models each promise a gain below
+    ``PROMISED_GAIN`` (Nocedal & Wright 2006, ch. 6), tested at the start and
+    after every iteration.  One is the BFGS model ``g' H g / 2``, with
+    SciPy's inverse-Hessian estimate ``H`` kept alongside by the same update
+    from each accepted step.  It holds only its seed on the axes the search
+    has not yet explored, and a seed (``inv_curv``, or the identity) can
+    overstate the curvature there; so the other is the diagonal model
+    ``sum g_i^2 / (2 c_i)`` of the stencil's own second differences
+    ``c_i``, which carries no history.  Both read the stencil already
+    evaluated at the point.  On a steep coordinate the search is that close
+    to the maximum long before SciPy's own test (largest gradient component
+    below 1e-3) can pass, and the line search would otherwise run on
+    difference noise until it fails.
 
     Converged means, wherever the search ended, the largest gradient
-    component is below 1e-3 or the positive-definite model promises a gain
-    below ``CONVERGED_GAIN``; so running out of ``MAXIMIZE_ITER`` iterations,
-    or a stalled line search, with more to gain reads ``False``.
+    component is below 1e-3 or the positive-definite BFGS model promises a
+    gain below ``CONVERGED_GAIN``; so running out of ``MAXIMIZE_ITER``
+    iterations, or a stalled line search, with more to gain reads ``False``.
     """
     x0 = np.asarray(x0, dtype=float)
-    seen: dict[bytes, tuple[float, np.ndarray]] = {}  # negated stencils by point
+    # negated value, negated gradient and curvatures of each stencil by point
+    seen: dict[bytes, tuple[float, np.ndarray, np.ndarray]] = {}
 
-    def stencil(x: np.ndarray) -> tuple[float, np.ndarray]:
+    def stencil(x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         m = x.size
         h = 1.0e-3 * np.maximum(1.0, np.abs(x))
         steps = np.diag(h)
         f = np.asarray(many(np.vstack([x, x + steps, x - steps])), dtype=float)
-        grad = (f[1 : m + 1] - f[m + 1 :]) / ((x + h) - (x - h))
-        seen[x.tobytes()] = out = (-float(f[0]), -grad)
+        width = (x + h) - (x - h)
+        grad = (f[1 : m + 1] - f[m + 1 :]) / width
+        curv = (2.0 * f[0] - f[1 : m + 1] - f[m + 1 :]) / (0.5 * width) ** 2
+        seen[x.tobytes()] = out = (-float(f[0]), -grad, curv)
         return out
 
-    # SciPy's first evaluation is at x0: it takes the one the start test made
-    start = [stencil(x0)]
-
     def negated(x: np.ndarray) -> tuple[float, np.ndarray]:
-        if start and np.array_equal(x, x0):
-            return start.pop()
-        return stencil(x)
+        return (seen.get(x.tobytes()) or stencil(x))[:2]
 
     h_inv = np.eye(x0.size) if inv_curv is None else np.asarray(inv_curv, dtype=float)
-    x_k, g_k = x0, start[0][1]
-    gain = _promised_gain(h_inv, g_k)
+    x_k = x0
+
+    def flat(x: np.ndarray) -> bool:
+        _, g, c = seen[x.tobytes()]
+        return max(_promised_gain(h_inv, g), _diagonal_gain(g, c)) < PROMISED_GAIN
+
+    stopped = f"the BFGS and diagonal models promise a gain below {PROMISED_GAIN:g}"
+    stencil(x0)  # SciPy's first evaluation, at x0, reads it from ``seen``
+    if flat(x0):
+        return Maximum(x0, -seen[x0.tobytes()][0], True, stopped)
 
     def stop_when_flat(intermediate_result) -> None:
-        nonlocal h_inv, x_k, g_k, gain
+        nonlocal h_inv, x_k
         x = intermediate_result.x
-        g = seen[x.tobytes()][1]
-        h_inv = _bfgs_update(h_inv, x - x_k, g - g_k)
-        x_k, g_k, gain = x, g, _promised_gain(h_inv, g)
-        if gain < PROMISED_GAIN:
+        h_inv = _bfgs_update(h_inv, x - x_k, seen[x.tobytes()][1] - seen[x_k.tobytes()][1])
+        x_k = x
+        if flat(x):
             raise StopIteration
 
-    flat_start = gain < PROMISED_GAIN
     res = minimize(
         negated, x0, method="BFGS", jac=True, callback=stop_when_flat,
-        # a start that already meets the rule runs no iteration
-        options={"gtol": 1.0e-3, "maxiter": 0 if flat_start else MAXIMIZE_ITER,
-                 "hess_inv0": inv_curv},
+        options={"gtol": 1.0e-3, "maxiter": MAXIMIZE_ITER, "hess_inv0": inv_curv},
     )
-    stopped = flat_start or res.status == 99
-    message = (f"the BFGS model promises a gain below {PROMISED_GAIN:g}" if stopped
-               else str(res.message))
+    gain = _promised_gain(h_inv, seen[x_k.tobytes()][1])
     return Maximum(np.asarray(res.x, dtype=float), -float(res.fun),
-                   bool(res.success or gain < CONVERGED_GAIN), message)
+                   bool(res.success or gain < CONVERGED_GAIN),
+                   stopped if res.status == 99 else str(res.message))
 
 
 #: :func:`newton_ascent`: gradient max-norm tolerance, iteration budget, step

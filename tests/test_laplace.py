@@ -704,3 +704,16 @@ def test_default_fit_logs_no_warning(caplog):
     caplog.set_level(logging.WARNING, logger="betamix")
     fit_laplace(study.data, study.spec, options=LaplaceOptions(compute_gof=False))
     assert _betamix_warnings(caplog) == []
+
+
+def test_hyper_mode_search_does_not_stop_short_on_a_flat_axis(monkeypatch):
+    """Started from the identity, the BFGS model alone once stopped this
+    search 0.0067 SD short along z_rho; the stencil's own curvature must
+    agree before the promised-gain stop ends it."""
+    study = simulate_study(seed=6, random="intercept+slope")
+    ctx = ModelContext(study.data, study.spec, default_priors(study.spec))
+    mode, _, _, sd = laplace.hyper_mode(ctx)
+    monkeypatch.setattr(model, "PROMISED_GAIN", 0.0)
+    full = laplace._optimize_mode(laplace._ThetaObjective(ctx).many,
+                                  moment_start(ctx.y, ctx.q).as_array())
+    assert np.max(np.abs(mode - full) / sd) < 1e-3

@@ -280,6 +280,18 @@ def test_profile_does_not_depend_on_earlier_profiles(small_study):
     assert profile_interval(fit, "phi") == fresh
 
 
+def test_boundary_phi_profile_keeps_its_upper_end():
+    """At the rho_corr -> 1 boundary two curvature probes fell outside the
+    support and left every seed curvature at 6.6e6; probe searches seeded
+    with it stopped at their start, and phi's upper end fell to 91.37.  A
+    thorough re-optimisation puts the profile 1.9203 below the maximum at
+    105.254, against a target drop of 1.9207."""
+    study = simulate_study(seed=0, random="intercept+slope")
+    iv = profile_interval(ml_fit(study.data, study.spec), "phi")
+    assert iv.lower == pytest.approx(78.595, abs=0.01)
+    assert iv.upper == pytest.approx(105.255, abs=0.01)
+
+
 def test_unconverged_probe_searches_are_logged(small_ml, monkeypatch, caplog):
     caplog.set_level(logging.WARNING, logger="betamix")
     profile_interval(small_ml, "phi")

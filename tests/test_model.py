@@ -428,7 +428,7 @@ def test_maximize_reports_an_exhausted_iteration_budget(monkeypatch):
 
 
 @pytest.mark.parametrize("amplitude,converged,ending", [
-    pytest.param(1e-6, True, "promises a gain", id="1e-06-True"),
+    pytest.param(1e-6, True, "promise a gain", id="1e-06-True"),
     pytest.param(3e-5, True, "precision loss", id="3e-05-True"),
     pytest.param(3e-4, False, "precision loss", id="0.0003-False"),
     pytest.param(1e-3, False, "precision loss", id="0.001-False"),
