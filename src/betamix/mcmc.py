@@ -7,7 +7,7 @@ are right.
 
 One sweep visits, in this order:
 
-1. every fixed effect, as a scalar site;
+1. the fixed effects, as one block site;
 2. every group's effect vector, each as its own block site, all in one
    vector pass;
 3. the unconstrained hyperparameters, as one block;
@@ -37,12 +37,15 @@ group effect leaves the linear predictor untouched.  One extra scalar
 likelihood cancels from its acceptance ratio, only the priors enter, and
 mixing along the ridge improves by orders of magnitude.
 
-The chain state keeps the linear predictor and per-group likelihood sums
-incrementally, which makes a sweep cost a handful of vector operations
-rather than a full model evaluation per site.  A fixed-effect, hyper or
-recentering move is staged as its log ratio and the cached fields it would
-replace; a commit assigns them, deriving the group likelihood sums from new
-row terms only then.  The group pass commits under its acceptance mask.
+The chain state keeps the linear predictor, its clipped mean and the
+per-group likelihood sums incrementally, which makes a sweep cost a handful
+of vector operations rather than a full model evaluation per site: the row
+terms are evaluated once by each of the fixed-effect block, the group pass
+and the hyper block, and the link inverse only where the linear predictor
+moves.  A fixed-effect, hyper or recentering move is staged as its log ratio
+and the cached fields it would replace; a commit assigns them, deriving the
+group likelihood sums from new row terms only then.  The group pass commits
+under its acceptance mask.
 
 ``likelihood_scale`` (lambda) tempers the likelihood: every log ratio is the
 prior change plus lambda times the likelihood change.  1 is the posterior
@@ -265,10 +268,11 @@ def sample_metropolis(
 class _BetaModelTarget:
     """Sampler state for the beta mixed model with incremental bookkeeping.
 
-    Caches the linear predictor, per-row log likelihood terms, per-group
-    likelihood sums, the random-effect prior quadratic forms and the
-    hyperprior value.  A scalar or hyper move is staged as the dict of
-    cached fields it would replace; committing it assigns them.
+    Caches the linear predictor, its clipped mean, per-row log likelihood
+    terms, per-group likelihood sums, the random-effect prior quadratic
+    forms and the hyperprior value.  A fixed-effect, recentering or hyper
+    move is staged as the dict of cached fields it would replace; committing
+    it assigns them.
     """
 
     def __init__(self, ctx: ModelContext, theta0: np.ndarray, x0: np.ndarray,
@@ -287,9 +291,10 @@ class _BetaModelTarget:
         self._linkinv = ctx.link.inv
         self.starts = ctx.group_starts
         self.eta = ctx.eta(np.asarray(x0, dtype=float))
+        self.mu = self._mu(self.eta)
         self._staged: tuple | None = None
         fields = self._theta_fields(np.asarray(theta0, dtype=float).copy())
-        fields["row_terms"] = self._terms(self.eta, fields["phi"])
+        fields["row_terms"] = self._terms(self.mu, fields["phi"])
         self._assign(fields)
         self.recenter_fixed = dict(recenter_pairs)  # random column -> fixed column
 
@@ -315,11 +320,14 @@ class _BetaModelTarget:
                           prior_quad=0.5 * np.einsum("nq,qr,nr->n", self.x_b, q_mat, self.x_b))
         return fields
 
-    def _terms(self, eta: np.ndarray, phi: float) -> np.ndarray:
+    def _mu(self, eta: np.ndarray) -> np.ndarray:
+        """Row means, clipped into (0, 1) as the model core clips them."""
+        return np.minimum(np.maximum(self._linkinv(eta), MU_EPS), 1.0 - MU_EPS)
+
+    def _terms(self, mu: np.ndarray, phi: float) -> np.ndarray:
         """Per-row log likelihood terms; zeros when the likelihood is off."""
         if self.lam == 0.0:
-            return np.zeros(eta.shape)
-        mu = np.minimum(np.maximum(self._linkinv(eta), MU_EPS), 1.0 - MU_EPS)
+            return np.zeros(mu.shape)
         a = mu * phi
         b = phi - a
         return (gammaln(phi) - gammaln(a) - gammaln(b) + a * self.ylog + b * self.y1mlog
@@ -330,7 +338,7 @@ class _BetaModelTarget:
     def log_ratio(self, key: tuple, delta: np.ndarray) -> float:
         kind = key[0]
         if kind == "beta":
-            logr, fields = self._stage_beta(key[1], float(delta[0]))
+            logr, fields = self._stage_beta(delta)
         elif kind == "theta":
             logr, fields = self._stage_theta(delta)
         elif kind == "recenter":
@@ -358,10 +366,11 @@ class _BetaModelTarget:
         quad = 0.5 * np.einsum("nq,qr,nr->n", b_new, self.q_mat, b_new)
         logr = self.prior_quad - quad
         eta = self.eta + np.sum(self.ctx.Z * delta[self.ctx.groups], axis=1)
-        terms = self._terms(eta, self.phi)
+        mu = self._mu(eta)
+        terms = self._terms(mu, self.phi)
         lik = np.add.reduceat(terms, self.starts)
         logr += self.lam * (lik - self.group_lik)
-        self._staged = (("groups",), b_new, quad, eta, terms, lik)
+        self._staged = (("groups",), b_new, quad, eta, mu, terms, lik)
         return logr
 
     def commit_groups(self, accepted: np.ndarray) -> None:
@@ -370,11 +379,12 @@ class _BetaModelTarget:
         if staged is None or staged[0] != ("groups",):
             raise RuntimeError("no staged group moves")
         self._staged = None
-        _, b_new, quad, eta, terms, lik = staged
+        _, b_new, quad, eta, mu, terms, lik = staged
         self.x_b[accepted] = b_new[accepted]
         self.prior_quad[accepted] = quad[accepted]
         rows = accepted[self.ctx.groups]
         self.eta[rows] = eta[rows]
+        self.mu[rows] = mu[rows]
         self.row_terms[rows] = terms[rows]
         # add the accepted groups' changes in index order, the same
         # sequence of roundings a group-by-group sweep makes
@@ -384,19 +394,16 @@ class _BetaModelTarget:
 
     # -- staging: each returns (log ratio, the fields the move replaces) -------
 
-    def _moved_beta(self, k: int, d: float) -> tuple[float, np.ndarray]:
-        """Fixed effect k moved by d: its prior log ratio and the new vector."""
-        x_beta = self.x_beta.copy()
-        x_beta[k] += d
-        prec = self.ctx.beta_prior_prec[k]
-        return -0.5 * prec * (x_beta[k] * x_beta[k] - self.x_beta[k] * self.x_beta[k]), x_beta
-
-    def _stage_beta(self, k: int, d: float) -> tuple[float, dict]:
-        dlp, x_beta = self._moved_beta(k, d)
-        eta = self.eta + d * self.ctx.X[:, k]
-        terms = self._terms(eta, self.phi)
+    def _stage_beta(self, delta: np.ndarray) -> tuple[float, dict]:
+        """Move every fixed effect at once, by ``delta`` (p,)."""
+        x_beta = self.x_beta + delta
+        prec = self.ctx.beta_prior_prec
+        dlp = -0.5 * float(np.sum(prec * (x_beta * x_beta - self.x_beta * self.x_beta)))
+        eta = self.eta + self.ctx.X @ delta
+        mu = self._mu(eta)
+        terms = self._terms(mu, self.phi)
         dlp += self.lam * (float(terms.sum()) - self.lik_total)
-        return float(dlp), {"x_beta": x_beta, "eta": eta, "row_terms": terms}
+        return dlp, {"x_beta": x_beta, "eta": eta, "mu": mu, "row_terms": terms}
 
     def _stage_recenter(self, a: int, d: float) -> tuple[float, dict]:
         """Exchange d between fixed effect k and random column a.
@@ -404,7 +411,11 @@ class _BetaModelTarget:
         The two columns are elementwise equal, so eta and every likelihood
         cache stay exactly as they are; only the two priors move.
         """
-        dlp, x_beta = self._moved_beta(self.recenter_fixed[a], d)
+        k = self.recenter_fixed[a]
+        x_beta = self.x_beta.copy()
+        x_beta[k] += d
+        prec = self.ctx.beta_prior_prec[k]
+        dlp = -0.5 * prec * (x_beta[k] * x_beta[k] - self.x_beta[k] * self.x_beta[k])
         x_b = self.x_b.copy()
         x_b[:, a] -= d
         # quad(b - d e_a) = quad(b) - d (Q b)_a + d^2 Q_aa / 2 per group.
@@ -421,7 +432,7 @@ class _BetaModelTarget:
         dlp = fields["hyper_lp"] - self.hyper_lp
         dlp += 0.5 * self.ctx.n_groups * (fields["q_logdet"] - self.q_logdet)
         dlp += float(self.prior_quad.sum() - fields["prior_quad"].sum())
-        fields["row_terms"] = self._terms(self.eta, fields["phi"])
+        fields["row_terms"] = self._terms(self.mu, fields["phi"])
         dlp += self.lam * (float(fields["row_terms"].sum()) - self.lik_total)
         return float(dlp), fields
 
@@ -590,7 +601,12 @@ def run_mcmc(
     Initialization and proposal shapes come from the Laplace fit of the same
     posterior (conditional mode, hyper curvature, latent conditional
     covariances); with ``likelihood_scale = 0`` the prior supplies them
-    instead.
+    instead.  The fixed-effect block's shape is the Cholesky factor of
+    (-H_xx)^-1, the precision of beta given the group effects and theta at
+    the start, or ``diag(1 / sqrt(beta_prior_prec))`` from the prior.  It
+    stays fixed; only its scale adapts.  A shape learnt from the chain would
+    take in beta's marginal covariance, whose intercept-group ridge the
+    recentering sites already move along.
     """
     from .laplace import hyper_mode
 
@@ -603,12 +619,15 @@ def run_mcmc(
         theta0, cond, curv, sigma_theta = hyper_mode(ctx)
         x0 = cond.mean
         beta_sd = np.sqrt(np.diag(cond.v_xx))
+        _, hess = ctx.grad_hessian(x0[None], theta0[None])
+        beta_chol = np.linalg.cholesky(np.linalg.inv(-hess.xx[0]))
         b_chols = np.linalg.cholesky(cond.v_bb) if ctx.q else None
         theta_chol = np.linalg.cholesky(np.linalg.inv(curv))
     else:
         theta0 = _prior_start(ctx)
         x0 = np.zeros(ctx.n_latent)
         beta_sd = 1.0 / np.sqrt(ctx.beta_prior_prec)
+        beta_chol = np.diag(beta_sd)
         if ctx.q:
             q0 = HyperPoint.from_array(theta0).precision_matrix()
             cov0 = np.linalg.inv(q0)
@@ -649,9 +668,7 @@ def run_mcmc(
 
         target = _BetaModelTarget(ctx, jit_theta, jit_x, config.likelihood_scale,
                                   recenter_pairs)
-        sites = [
-            Site(("beta", k), 1, 2.4 * float(beta_sd[k])) for k in range(ctx.p)
-        ]
+        sites = [Site(("beta",), ctx.p, 2.4 / np.sqrt(ctx.p), chol=beta_chol)]
         if ctx.q:
             sites.append(GroupSites(b_chols, np.full(ctx.n_groups, 2.4 / np.sqrt(ctx.q))))
         sites += [Site(("theta",), m, 2.4 / np.sqrt(m), chol=theta_chol.copy())]

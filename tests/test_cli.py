@@ -57,7 +57,7 @@ def test_subcommand_writes_a_valid_summary(study_csv, tmp_path, argv, command):
     summary = _validated(out, command)
     if command == "mcmc":
         # site labels are the sampler's string keys, written as they are
-        assert {"('beta', 0)", "('theta',)"} <= set(summary["diagnostics"]["acceptance"])
+        assert {"('beta',)", "('theta',)"} <= set(summary["diagnostics"]["acceptance"])
     if command == "sensitivity":
         # a q = 1 scan reweights the default fit; the schema holds both fields
         (row,) = summary["rows"]

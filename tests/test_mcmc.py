@@ -78,7 +78,7 @@ def test_effective_sample_size_iid_vs_autocorrelated(rng):
 # built target's.
 GROUP_LOG_RATIO_TOL = 1e-9
 GROUP_CACHE_TOL = 1e-10
-CACHED_FIELDS = ("eta", "row_terms", "group_lik", "lik_total", "prior_quad", "phi",
+CACHED_FIELDS = ("eta", "mu", "row_terms", "group_lik", "lik_total", "prior_quad", "phi",
                  "hyper_lp", "q_mat", "q_logdet")
 
 
@@ -152,7 +152,7 @@ def test_group_pass_commit_keeps_caches_consistent(random, lam, rng):
         target.commit_groups(accepted)
 
     m = target.theta.size
-    keys = ([("beta", k) for k in range(ctx.p)] + [("theta",)]
+    keys = ([("beta",), ("theta",)]
             + [("recenter", a) for a, _ in _recenter_pairs(ctx)] + [("groups",)])
     assert ("recenter", 0) in keys
     for key in [keys[i] for _ in range(6) for i in rng.permutation(len(keys))]:
@@ -161,7 +161,7 @@ def test_group_pass_commit_keeps_caches_consistent(random, lam, rng):
             target.stage_groups(rng.normal(scale=0.2, size=(ctx.n_groups, ctx.q)))
             target.commit_groups(rng.random(ctx.n_groups) < (0.6 if commit else 0.0))
         else:
-            dim = m if key == ("theta",) else 1
+            dim = {("beta",): ctx.p, ("theta",): m}.get(key, 1)
             before = _tempered_log_posterior(ctx, target, lam)
             logr = target.log_ratio(key, rng.normal(scale=0.1, size=dim))
             if commit:
@@ -170,11 +170,40 @@ def test_group_pass_commit_keeps_caches_consistent(random, lam, rng):
                 assert abs(logr - change) < GROUP_LOG_RATIO_TOL, (key, logr, change)
         _assert_caches_match_fresh_target(ctx, target, lam)
 
-    target.log_ratio(("beta", 0), np.array([0.1]))
+    target.log_ratio(("beta",), np.full(ctx.p, 0.1))
     with pytest.raises(RuntimeError):
         target.commit(("theta",))
     with pytest.raises(RuntimeError):
         target.commit_groups(accepted)
+
+
+@pytest.mark.parametrize("random", ["none", "intercept", "intercept+slope"])
+def test_a_sweep_evaluates_the_row_terms_once_per_block(random, monkeypatch):
+    """The row terms are evaluated once by the fixed-effect block, once by the
+    group pass and once by the hyper block; the link inverse once by each
+    site that moves the linear predictor (the recentering sites move none)."""
+    study = simulate_study(seed=2, n_groups=4, n_total=32, random=random)
+    sweeps = 30
+    calls = {"_terms": 0, "_linkinv": 0}
+    sample = mcmc.sample_metropolis
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    def sample_counting(target, *args, **kwargs):
+        for name in calls:
+            setattr(target, name, counted(name, getattr(target, name)))
+        return sample(target, *args, **kwargs)
+
+    monkeypatch.setattr(mcmc, "sample_metropolis", sample_counting)
+    cfg = McmcConfig(n_chains=1, iterations=sweeps, burn_in=10, thin=1, seed=1)
+    run_mcmc(study.data, study.spec, config=cfg)
+    blocks = 2 if random == "none" else 3  # beta, (groups,) theta
+    assert calls == {"_terms": blocks * sweeps, "_linkinv": (blocks - 1) * sweeps}
 
 
 # -- prior recovery (likelihood switched off) ----------------------------------
