@@ -38,14 +38,12 @@ likelihood cancels from its acceptance ratio, only the priors enter, and
 mixing along the ridge improves by orders of magnitude.
 
 The chain state keeps the linear predictor, its clipped mean and the
-per-group likelihood sums incrementally, which makes a sweep cost a handful
-of vector operations rather than a full model evaluation per site: the row
-terms are evaluated once by each of the fixed-effect block, the group pass
-and the hyper block, and the link inverse only where the linear predictor
-moves.  A fixed-effect, hyper or recentering move is staged as its log ratio
-and the cached fields it would replace; a commit assigns them, deriving the
-group likelihood sums from new row terms only then.  The group pass commits
-under its acceptance mask.
+per-group likelihood sums incrementally, so a sweep evaluates the row terms
+once per block (fixed effects, groups, hyperparameters) and the link
+inverse only where the linear predictor moves.  A fixed-effect, hyper or
+recentering move is staged as its log ratio and the cached fields it would
+replace; a commit assigns them, deriving the group likelihood sums from new
+row terms only then.  The group pass commits under its acceptance mask.
 
 ``likelihood_scale`` (lambda) tempers the likelihood: every log ratio is the
 prior change plus lambda times the likelihood change.  1 is the posterior
@@ -601,12 +599,11 @@ def run_mcmc(
     Initialization and proposal shapes come from the Laplace fit of the same
     posterior (conditional mode, hyper curvature, latent conditional
     covariances); with ``likelihood_scale = 0`` the prior supplies them
-    instead.  The fixed-effect block's shape is the Cholesky factor of
-    (-H_xx)^-1, the precision of beta given the group effects and theta at
-    the start, or ``diag(1 / sqrt(beta_prior_prec))`` from the prior.  It
-    stays fixed; only its scale adapts.  A shape learnt from the chain would
-    take in beta's marginal covariance, whose intercept-group ridge the
-    recentering sites already move along.
+    instead.  The fixed-effect block's shape is the Cholesky factor of the
+    inverse of -H_xx, beta's precision given the group effects and theta at
+    the start (``diag(1 / sqrt(beta_prior_prec))`` from the prior).  Only its
+    scale adapts: a shape learnt from the chain would take in the
+    intercept-group ridge that the recentering sites already move along.
     """
     from .laplace import hyper_mode
 
