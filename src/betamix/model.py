@@ -41,7 +41,8 @@ and its link derivatives (``loglik_rows``, ``eta_derivs``), the
 unconstrained-to-natural transforms with their derivatives (``TRANSFORMS``),
 log det Q (:meth:`HyperPoint.precision_logdet`), the coordinate cap
 ``COORD_CAP`` and the value outside the support (``out_of_support``), the
-moment start point, the outer search (``maximize``), the two-stage
+moment start point, the outer search (``maximize``) and its
+central-difference stencil (``gradient_stencil``), the two-stage
 finite-difference curvature at its optimum (``fd_curvature``), the chunk
 rule by which an evaluator splits a stack of points (``chunk_size``), the
 damped Newton search for conditional modes (``newton_ascent``), with its one
@@ -711,6 +712,11 @@ def _diagonal_gain(grad: np.ndarray, curv: np.ndarray) -> float:
     return 0.5 * float(np.sum(grad * grad / curv))
 
 
+class _NoGain(Exception):
+    """A line-search step of :func:`maximize` lost value at a point whose
+    models already promise a gain below ``CONVERGED_GAIN``."""
+
+
 def _bfgs_update(h_inv: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
     """SciPy's BFGS update of the inverse Hessian from the step ``s`` and the
     gradient change ``y``, its guard against ``y's = 0`` included."""
@@ -719,6 +725,27 @@ def _bfgs_update(h_inv: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
     eye = np.eye(s.size)
     return ((eye - rho * np.outer(s, y)) @ h_inv @ (eye - rho * np.outer(y, s))
             + rho * np.outer(s, s))
+
+
+def gradient_stencil(many: Callable[[np.ndarray], np.ndarray],
+                     x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Value, central-difference gradient and negated second differences
+    ``c_i`` (positive where the value is concave along axis i) at ``x``.
+
+    One call of the batch evaluator ``many`` on the 2m + 1 rows
+    ``[x, x + h_i e_i, x - h_i e_i]``, the centre first, with step
+    ``h_i = 1e-3 * max(1, |x_i|)``; both divide by the step as represented,
+    ``(x + h) - (x - h)``.  This is the stencil :func:`maximize` evaluates at
+    every point it visits.
+    """
+    m = x.size
+    h = 1.0e-3 * np.maximum(1.0, np.abs(x))
+    steps = np.diag(h)
+    f = np.asarray(many(np.vstack([x, x + steps, x - steps])), dtype=float)
+    width = (x + h) - (x - h)
+    grad = (f[1 : m + 1] - f[m + 1 :]) / width
+    curv = (2.0 * f[0] - f[1 : m + 1] - f[m + 1 :]) / (0.5 * width) ** 2
+    return float(f[0]), grad, curv
 
 
 def maximize(many: Callable[[np.ndarray], np.ndarray], x0: np.ndarray,
@@ -730,10 +757,12 @@ def maximize(many: Callable[[np.ndarray], np.ndarray], x0: np.ndarray,
     step (about 1.5e-8) returns noise.  The gradient here is a central
     difference with step ``h_i = 1e-3 * max(1, |x_i|)``, the order of the
     step INLA uses for its hyper mode (Rue, Martino & Chopin 2009, section
-    6.1).  Each evaluation is one call of the batch evaluator ``many`` on the
-    2m + 1 rows ``[x, x + h_i e_i, x - h_i e_i]``, the centre first; the
-    gradient divides by the step as represented, ``(x + h) - (x - h)``.
-    ``inv_curv``, when known, seeds the inverse-Hessian estimate.
+    6.1).  Each evaluation is one :func:`gradient_stencil`, one call of the
+    batch evaluator ``many``, starting at ``x0``.  ``inv_curv``, when known,
+    seeds the inverse-Hessian estimate, else the identity does (Nocedal &
+    Wright 2006, ch. 6); the Laplace engine passes the inverse of the
+    positive second differences of the stencil at ``x0``, and the likelihood
+    engine passes its profile searches the ML fit's covariance.
 
     The search stops once two quadratic models each promise a gain below
     ``PROMISED_GAIN`` (Nocedal & Wright 2006, ch. 6), tested at the start and
@@ -747,7 +776,13 @@ def maximize(many: Callable[[np.ndarray], np.ndarray], x0: np.ndarray,
     evaluated at the point.  On a steep coordinate the search is that close
     to the maximum long before SciPy's own test (largest gradient component
     below 1e-3) can pass, and the line search would otherwise run on
-    difference noise until it fails.
+    difference noise until it fails.  Where both models promise less than
+    ``CONVERGED_GAIN`` but not less than ``PROMISED_GAIN``, a line-search
+    point no higher than the current point ends the search there, as
+    "precision loss": on the stalls seen there (a 200-group q = 1 study and
+    two q = 2 studies), SciPy's first trial fell below the point, and its
+    line search then spent 20 to 30 stencils on differences of about 1e-10
+    before it failed, at or within 2e-8 of the same value.
 
     Converged means, wherever the search ended, the largest gradient
     component is below 1e-3 or the positive-definite BFGS model promises a
@@ -759,46 +794,52 @@ def maximize(many: Callable[[np.ndarray], np.ndarray], x0: np.ndarray,
     seen: dict[bytes, tuple[float, np.ndarray, np.ndarray]] = {}
 
     def stencil(x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        m = x.size
-        h = 1.0e-3 * np.maximum(1.0, np.abs(x))
-        steps = np.diag(h)
-        f = np.asarray(many(np.vstack([x, x + steps, x - steps])), dtype=float)
-        width = (x + h) - (x - h)
-        grad = (f[1 : m + 1] - f[m + 1 :]) / width
-        curv = (2.0 * f[0] - f[1 : m + 1] - f[m + 1 :]) / (0.5 * width) ** 2
-        seen[x.tobytes()] = out = (-float(f[0]), -grad, curv)
+        value, grad, curv = gradient_stencil(many, x)
+        seen[x.tobytes()] = out = (-value, -grad, curv)
         return out
-
-    def negated(x: np.ndarray) -> tuple[float, np.ndarray]:
-        return (seen.get(x.tobytes()) or stencil(x))[:2]
 
     h_inv = np.eye(x0.size) if inv_curv is None else np.asarray(inv_curv, dtype=float)
     x_k = x0
+    settled = False  # both models at x_k promise a gain below CONVERGED_GAIN
 
-    def flat(x: np.ndarray) -> bool:
+    def negated(x: np.ndarray) -> tuple[float, np.ndarray]:
+        key = x.tobytes()
+        out = seen.get(key) or stencil(x)
+        if settled and key != x_k.tobytes() and out[0] >= seen[x_k.tobytes()][0]:
+            raise _NoGain
+        return out[:2]
+
+    def gain(x: np.ndarray) -> float:
         _, g, c = seen[x.tobytes()]
-        return max(_promised_gain(h_inv, g), _diagonal_gain(g, c)) < PROMISED_GAIN
+        return max(_promised_gain(h_inv, g), _diagonal_gain(g, c))
 
     stopped = f"the BFGS and diagonal models promise a gain below {PROMISED_GAIN:g}"
     stencil(x0)  # SciPy's first evaluation, at x0, reads it from ``seen``
-    if flat(x0):
+    settled = gain(x0) < CONVERGED_GAIN
+    if gain(x0) < PROMISED_GAIN:
         return Maximum(x0, -seen[x0.tobytes()][0], True, stopped)
 
     def stop_when_flat(intermediate_result) -> None:
-        nonlocal h_inv, x_k
+        nonlocal h_inv, x_k, settled
         x = intermediate_result.x
         h_inv = _bfgs_update(h_inv, x - x_k, seen[x.tobytes()][1] - seen[x_k.tobytes()][1])
         x_k = x
-        if flat(x):
+        if gain(x) < PROMISED_GAIN:
             raise StopIteration
+        settled = gain(x) < CONVERGED_GAIN
 
-    res = minimize(
-        negated, x0, method="BFGS", jac=True, callback=stop_when_flat,
-        options={"gtol": 1.0e-3, "maxiter": MAXIMIZE_ITER, "hess_inv0": inv_curv},
-    )
-    gain = _promised_gain(h_inv, seen[x_k.tobytes()][1])
+    try:
+        res = minimize(
+            negated, x0, method="BFGS", jac=True, callback=stop_when_flat,
+            options={"gtol": 1.0e-3, "maxiter": MAXIMIZE_ITER, "hess_inv0": inv_curv},
+        )
+    except _NoGain:
+        return Maximum(x_k, -seen[x_k.tobytes()][0], True,
+                       f"precision loss: a line-search step lost value where the BFGS and "
+                       f"diagonal models promise a gain below {CONVERGED_GAIN:g}")
+    gain_k = _promised_gain(h_inv, seen[x_k.tobytes()][1])
     return Maximum(np.asarray(res.x, dtype=float), -float(res.fun),
-                   bool(res.success or gain < CONVERGED_GAIN),
+                   bool(res.success or gain_k < CONVERGED_GAIN),
                    stopped if res.status == 99 else str(res.message))
 
 

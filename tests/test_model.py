@@ -445,6 +445,21 @@ def test_maximize_stall_counts_only_where_little_is_left(amplitude, converged, e
         np.testing.assert_allclose(best.x, _ARGMAX, atol=1e-3)
 
 
+def test_maximize_ends_a_stall_where_little_is_left_at_once(monkeypatch):
+    """With noise of 3e-5 SciPy's line search stalls next to the argmax and
+    fails after 23 stencils; a first step that loses value ends it after 7,
+    at the point the stall would have ended at."""
+    calls = []
+    many = _recording(lambda x: _noisy_quadratic(x, 3e-5), calls)
+    best = maximize(many, np.zeros(3))
+    assert best.converged and len(calls) <= 8
+    monkeypatch.setattr(model, "CONVERGED_GAIN", 0.0)
+    stalled = maximize(many, np.zeros(3))
+    assert len(calls) > 2 * 8
+    np.testing.assert_array_equal(best.x, stalled.x)
+    assert best.value == stalled.value
+
+
 def test_maximize_calls_its_evaluator_once_per_stencil(monkeypatch):
     """Each BFGS evaluation is one call on the 2m + 1 rows [x, x + h e_i,
     x - h e_i] with h_i = 1e-3 max(1, |x_i|): 1e-3 at x_i = 0 and at 0.05,

@@ -278,8 +278,8 @@ def test_a_failing_default_fit_raises_and_leaves_no_worker(tiny_data, monkeypatc
 def test_warnings_of_each_fit_are_logged_once_in_fit_order(ccd_study, monkeypatch, caplog):
     """An unconverged hyper-mode search in every fit, as in the Laplace
     tests: the default fit in process, then the two forked refits.  A cap of
-    20 search iterations stops every search of this study short, yet close
-    enough to the mode that the design holds."""
+    23 search iterations stops every search of this study short, yet close
+    enough to the mode that the design holds (caps of 21 to 25 do both)."""
     real = sens_mod.fit_laplace
 
     def announced(*args, **kwargs):
@@ -287,7 +287,7 @@ def test_warnings_of_each_fit_are_logged_once_in_fit_order(ccd_study, monkeypatc
         return real(*args, **kwargs)
 
     monkeypatch.setattr(sens_mod, "fit_laplace", announced)
-    monkeypatch.setattr(model, "MAXIMIZE_ITER", 20)
+    monkeypatch.setattr(model, "MAXIMIZE_ITER", 23)
     monkeypatch.setattr(model, "_cpus", lambda: 2)
     caplog.set_level(logging.WARNING, logger="betamix")
     report = sensitivity_scan(ccd_study.data, ccd_study.spec, param="phi", targets=(0.2, 0.4))
