@@ -779,8 +779,8 @@ def maximize(many: Callable[[np.ndarray], np.ndarray], x0: np.ndarray,
     difference noise until it fails.  Where both models promise less than
     ``CONVERGED_GAIN`` but not less than ``PROMISED_GAIN``, a line-search
     point no higher than the current point ends the search there, as
-    "precision loss": on the stalls seen there (a 200-group q = 1 study and
-    two q = 2 studies), SciPy's first trial fell below the point, and its
+    "precision loss".  On the stalls measured (a 200-group q = 1 study and
+    two q = 2 studies) SciPy's first trial fell below the point, and its
     line search then spent 20 to 30 stencils on differences of about 1e-10
     before it failed, at or within 2e-8 of the same value.
 
@@ -815,18 +815,20 @@ def maximize(many: Callable[[np.ndarray], np.ndarray], x0: np.ndarray,
 
     stopped = f"the BFGS and diagonal models promise a gain below {PROMISED_GAIN:g}"
     stencil(x0)  # SciPy's first evaluation, at x0, reads it from ``seen``
-    settled = gain(x0) < CONVERGED_GAIN
-    if gain(x0) < PROMISED_GAIN:
+    gain_0 = gain(x0)
+    if gain_0 < PROMISED_GAIN:
         return Maximum(x0, -seen[x0.tobytes()][0], True, stopped)
+    settled = gain_0 < CONVERGED_GAIN
 
     def stop_when_flat(intermediate_result) -> None:
         nonlocal h_inv, x_k, settled
         x = intermediate_result.x
         h_inv = _bfgs_update(h_inv, x - x_k, seen[x.tobytes()][1] - seen[x_k.tobytes()][1])
         x_k = x
-        if gain(x) < PROMISED_GAIN:
+        gain_x = gain(x)
+        if gain_x < PROMISED_GAIN:
             raise StopIteration
-        settled = gain(x) < CONVERGED_GAIN
+        settled = gain_x < CONVERGED_GAIN
 
     try:
         res = minimize(
